@@ -60,14 +60,10 @@ class SuiteConfig:
     rank: int = 2
     radius: int = 4
     depth: int = 2
-    exact: bool = True
-    output: str | None = None
 
     def validate(self) -> None:
         if self.rank < 2:
             raise DomainError("rank must be at least 2")
-        if not self.exact:
-            raise DomainError("floating-point mode is not allowed for suites")
 
 
 @dataclass
@@ -207,23 +203,22 @@ def _operator_records(cfg: SuiteConfig) -> list[Record]:
     fs = [one] + [chi(n, u) for u in sphere(n, 1)]
     words = [IDENTITY] + list(sphere(n, 1))
 
-    worst = None
-    count = 0
-    for f in fs:
-        for gamma in words[: n + 1]:
-            for g in fs:
-                for delta in words[: n + 1]:
-                    cert = lambda_rho_commute_check(f, gamma, g, delta, R)
-                    count += 1
-                    if worst is None or cert.support_radius > worst.support_radius:
-                        worst = cert
+    certs = [
+        lambda_rho_commute_check(f, gamma, g, delta, R)
+        for f in fs
+        for gamma in words[: n + 1]
+        for g in fs
+        for delta in words[: n + 1]
+    ]
+    failed = [c for c in certs if not c.within_bound]
+    witness = failed[0] if failed else max(certs, key=lambda c: c.support_radius)
     records.append(
         Record(
             "operators.left-right-commutation",
             "left and right covariant monomials commute up to finite support",
-            {"rank": n, "radius": R, "pairs": count},
-            worst is not None,
-            worst.to_json_dict() if worst else {},
+            {"rank": n, "radius": R, "pairs": len(certs)},
+            not failed,
+            witness.to_json_dict(),
         )
     )
 
@@ -437,16 +432,31 @@ def run_suite(
 
 # -- argument plumbing -----------------------------------------------
 
+def _write_json(payload: dict, json_path: str | None) -> None:
+    """Print the payload for "-", write it to any other path."""
+    if not json_path:
+        return
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if json_path == "-":
+        print(text)
+    else:
+        with open(json_path, "w") as fh:
+            fh.write(text + "\n")
+
+
 def _emit(report: Report, json_path: str | None) -> int:
     print(report.summary())
-    if json_path:
-        payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-        if json_path == "-":
-            print(payload)
-        else:
-            with open(json_path, "w") as fh:
-                fh.write(payload + "\n")
+    _write_json(report.to_json_dict(), json_path)
     return 0 if report.passed else 1
+
+
+def _emit_certificate(cert, passed: bool, json_path: str | None) -> int:
+    """Print a single certificate as JSON, also writing it to a path."""
+    payload = cert.to_json_dict()
+    _write_json(payload, "-")
+    if json_path != "-":
+        _write_json(payload, json_path)
+    return 0 if passed else 1
 
 
 def _parse_mutation(text: str | None) -> tuple[ReducedWord | None, ReducedWord | None]:
@@ -517,22 +527,13 @@ def main(argv: list[str] | None = None) -> int:
             cert = lambda_rho_commute_check(
                 f, gamma, CylinderFunction.constant(cfg.rank, ONE), IDENTITY, cfg.radius
             )
-            print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
-            if args.json and args.json != "-":
-                with open(args.json, "w") as fh:
-                    json.dump(cert.to_json_dict(), fh, indent=2, sort_keys=True)
-            return 0
+            return _emit_certificate(cert, cert.within_bound, args.json)
         if args.command == "jv":
             if args.action == "index":
                 return _emit(run_suite(cfg, "jv"), args.json)
-            cert = equivariance_defect(
-                cfg.rank, ReducedWord.parse(args.gamma), cfg.radius
-            )
-            print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
-            if args.json and args.json != "-":
-                with open(args.json, "w") as fh:
-                    json.dump(cert.to_json_dict(), fh, indent=2, sort_keys=True)
-            return 0
+            gamma = ReducedWord.parse(args.gamma)
+            cert = equivariance_defect(cfg.rank, gamma, cfg.radius)
+            return _emit_certificate(cert, cert.rank <= len(gamma), args.json)
         if args.command == "untwist":
             return _emit(run_suite(cfg, "untwist"), args.json)
         if args.command == "final-identity":
@@ -540,11 +541,7 @@ def main(argv: list[str] | None = None) -> int:
             cert = final_identity_check(
                 cfg.rank, cfg.radius, cfg.depth, drop=drop, perturb=perturb
             )
-            print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
-            if args.json and args.json != "-":
-                with open(args.json, "w") as fh:
-                    json.dump(cert.to_json_dict(), fh, indent=2, sort_keys=True)
-            return 0 if cert.equal else 1
+            return _emit_certificate(cert, cert.equal, args.json)
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

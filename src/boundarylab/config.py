@@ -23,7 +23,12 @@ class ResourceLimitError(RuntimeError):
 
 def max_radius() -> int:
     raw = os.environ.get("BDL_MAX_RADIUS")
-    return int(raw) if raw else DEFAULT_MAX_RADIUS
+    if not raw:
+        return DEFAULT_MAX_RADIUS
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"BDL_MAX_RADIUS must be an integer, got {raw!r}") from None
 
 
 def max_depth() -> int:

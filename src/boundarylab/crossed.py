@@ -28,7 +28,6 @@ from .words import (
     IDENTITY,
     BoundaryPoint,
     ReducedWord,
-    boundary_prefix,
     generators,
     meet,
     multiply,
@@ -440,7 +439,7 @@ def geodesic_v_check(
         raise DomainError("diagonal pair has no connecting geodesic")
     algebraic = dual_coefficient(rank, gamma).at_boundary(a, b)
     passes_origin = meet(a, b) == IDENTITY
-    geometric = ONE if (passes_origin and boundary_prefix(a, 1) == gamma) else Scalar()
+    geometric = ONE if (passes_origin and a.prefix(1) == gamma) else Scalar()
     return CheckResult(
         f"v({a}, {b}, {gamma}) geodesic test",
         algebraic == geometric,

@@ -225,10 +225,6 @@ def chi_tilde(gamma: ReducedWord, x: ReducedWord) -> Scalar:
     return ONE if is_initial(gamma, x) else ZERO
 
 
-def extend(f: CylinderFunction, x: ReducedWord) -> Scalar:
-    return f.extend(x)
-
-
 @lru_cache(maxsize=None)
 def _translate_indicator(gamma: ReducedWord, w: ReducedWord, n: int) -> CylinderFunction:
     """Image of the cylinder at w under the shift by gamma, as a function.
@@ -411,14 +407,6 @@ def tensor(f: CylinderFunction, g: CylinderFunction) -> BiCylinderFunction:
         for v, d in g.table.items():
             tbl[(u, v)] = c * d
     return BiCylinderFunction(f.rank, f.depth, g.depth, tbl)
-
-
-def flip(F: BiCylinderFunction) -> BiCylinderFunction:
-    return F.flip()
-
-
-def vanishes_on_diagonal(F: BiCylinderFunction) -> bool:
-    return F.vanishes_on_diagonal()
 
 
 def _merge_slot(rank, tbl, slot):

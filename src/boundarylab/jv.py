@@ -45,11 +45,6 @@ class Edge:
         return f"{{{near}, {far}}}"
 
 
-def edge_s(x: ReducedWord) -> Edge:
-    """The edge joining a nonidentity vertex to its parent."""
-    return Edge(x)
-
-
 @lru_cache(maxsize=None)
 def edge_basis(n: int, R: int) -> tuple[Edge, ...]:
     return tuple(Edge(x) for x in ball(n, R) if len(x))

@@ -3,11 +3,17 @@ and the operator calculus that reduces the boundary cycle to the tree
 shift.
 
 A module vector is a finitely supported map from group elements to
-algebra elements.  All operator identities here are certified on
-explicit spanning sets: every indicator of bounded depth placed at every
-label in a ball.  Right linearity extends such a certificate to general
-coefficients with parameters in range, which is the only sense in which
-the word "equal" is used below.
+algebra elements.  Every module map here is right linear, so its kernel
+determines it: for each input label g, the column lists the output
+labels h and the left multiplier c . f . u_gamma placed at each.
+Applying a map is one loop over those columns, and composing two maps
+multiplies their kernels.
+
+All operator identities here are certified on explicit spanning sets:
+every indicator of bounded depth placed at every label in a ball.  Right
+linearity extends such a certificate to general coefficients with
+parameters in range, which is the only sense in which the word "equal"
+is used below.
 """
 
 from __future__ import annotations
@@ -22,12 +28,16 @@ from .cylinders import (
     BiCylinderFunction,
     CylinderFunction,
     chi,
-    extend,
     f_prime_value,
+    translate,
 )
 from .jv import wbar_apply
 from .scalars import ONE, Scalar
 from .words import IDENTITY, ReducedWord, ball, multiply, sphere
+
+# One kernel term (h, c, f, gamma): the multiplier c . f . u_gamma placed
+# at output label h, where f is None for the constant function 1.
+Term = tuple[ReducedWord, Scalar, CylinderFunction | None, ReducedWord]
 
 
 def _freeze_inner(
@@ -52,10 +62,6 @@ class ModuleVector:
     def __init__(self, rank: int, entries: Mapping[ReducedWord, CrossedElement]):
         self.rank = rank
         self.entries = {g: x for g, x in entries.items() if not x.is_zero()}
-
-    @staticmethod
-    def zero(rank: int) -> "ModuleVector":
-        return ModuleVector(rank, {})
 
     @staticmethod
     def basis(rank: int, f: CylinderFunction, g: ReducedWord) -> "ModuleVector":
@@ -100,77 +106,73 @@ def inner_product(xi: ModuleVector, eta: ModuleVector) -> CrossedElement:
 
 
 class ModuleMap:
-    """An operator on module vectors, carried as a name and a rule."""
+    """A right-linear operator on module vectors, carried as a name and
+    its kernel: column(g) lists the terms (h, c, f, gamma) that send a
+    coefficient x at label g to c . f . u_gamma . x at label h, with c a
+    scalar, f a cylinder function or None for 1, and gamma a word."""
 
-    __slots__ = ("name", "rule")
+    __slots__ = ("name", "column")
 
-    def __init__(self, name: str, rule: Callable[[ModuleVector], ModuleVector]):
+    def __init__(self, name: str, column: Callable[[ReducedWord], Iterable[Term]]):
         self.name = name
-        self.rule = rule
+        self.column = lru_cache(maxsize=None)(lambda g: tuple(column(g)))
 
     def __call__(self, xi: ModuleVector) -> ModuleVector:
-        return self.rule(xi)
+        out: dict[ReducedWord, CrossedElement] = {}
+        for g, x in xi.entries.items():
+            for h, c, f, gamma in self.column(g):
+                y = x.left_mul_unitary(gamma) if len(gamma) else x
+                if f is not None:
+                    y = y.left_mul_function(f)
+                if c != ONE:
+                    y = y.scale(c)
+                out[h] = out[h] + y if h in out else y
+        return ModuleVector(xi.rank, out)
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(f"({self.name} . {other.name})", lambda xi: self(other(xi)))
+        """The kernel product, term by term:
+        c2 f2 u_g2 . c1 f1 u_g1 = c2 c1 . f2 translate(g2, f1) . u_{g2 g1}."""
 
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(f"({self.name} + {other.name})", lambda xi: self(xi) + other(xi))
+        def column(g: ReducedWord) -> Iterable[Term]:
+            for h1, c1, f1, g1 in other.column(g):
+                for h2, c2, f2, g2 in self.column(h1):
+                    t = translate(g2, f1) if f1 is not None and len(g2) else f1
+                    f = t if f2 is None else f2 if t is None else f2 * t
+                    if f is None or not f.is_zero():
+                        yield h2, c2 * c1, f, multiply(g2, g1)
 
-    def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(f"({self.name} - {other.name})", lambda xi: self(xi) - other(xi))
+        return ModuleMap(f"({self.name} . {other.name})", column)
 
     @staticmethod
     def identity() -> "ModuleMap":
-        return ModuleMap("1", lambda xi: xi)
+        return ModuleMap("1", lambda g: [(g, ONE, None, IDENTITY)])
 
 
 def op_phi_function(f: CylinderFunction) -> ModuleMap:
     """Pointwise left multiplication by a boundary function."""
-    return ModuleMap(
-        "phi(f)",
-        lambda xi: ModuleVector(
-            xi.rank, {g: x.left_mul_function(f) for g, x in xi.entries.items()}
-        ),
-    )
+    return ModuleMap("phi(f)", lambda g: [(g, ONE, f, IDENTITY)])
 
 
 def op_phi_unitary(gamma: ReducedWord) -> ModuleMap:
     """Left multiplication by a group unitary with the matching label shift."""
-
-    def rule(xi: ModuleVector) -> ModuleVector:
-        ginv = gamma.inverse()
-        return ModuleVector(
-            xi.rank,
-            {
-                multiply(gamma, g): x.left_mul_unitary(gamma)
-                for g, x in xi.entries.items()
-            },
-        )
-
-    return ModuleMap(f"phi(u_{gamma})", rule)
+    return ModuleMap(
+        f"phi(u_{gamma})", lambda g: [(multiply(gamma, g), ONE, None, gamma)]
+    )
 
 
 def op_phi(x: CrossedElement) -> ModuleMap:
     """Left multiplication by a general algebra element, term by term."""
-
-    def rule(xi: ModuleVector) -> ModuleVector:
-        out = ModuleVector.zero(xi.rank)
-        for gamma, f in x.terms.items():
-            out = out + op_phi_function(f)(op_phi_unitary(gamma)(xi))
-        return out
-
-    return ModuleMap("phi(x)", rule)
+    return ModuleMap(
+        "phi(x)",
+        lambda g: [(multiply(gamma, g), ONE, f, gamma) for gamma, f in x.terms.items()],
+    )
 
 
 def op_tau_gamma(gamma: ReducedWord) -> ModuleMap:
     """Label shift with no coefficient twisting."""
     return ModuleMap(
         f"tau(u_{gamma})",
-        lambda xi: ModuleVector(
-            xi.rank,
-            {multiply(g, gamma.inverse()): x for g, x in xi.entries.items()},
-        ),
+        lambda g: [(multiply(g, gamma.inverse()), ONE, None, IDENTITY)],
     )
 
 
@@ -183,17 +185,7 @@ def op_tau_F(
     if not F.vanishes_on_diagonal():
         raise DomainError("two-variable coefficient must vanish on the diagonal")
     frozen = _freeze_inner(inner)
-
-    def rule(xi: ModuleVector) -> ModuleVector:
-        return ModuleVector(
-            xi.rank,
-            {
-                g: x.left_mul_function(_weight(F, frozen, g))
-                for g, x in xi.entries.items()
-            },
-        )
-
-    return ModuleMap("tau(F)", rule)
+    return ModuleMap("tau(F)", lambda g: [(g, ONE, _weight(F, frozen, g), IDENTITY)])
 
 
 def op_tau_monomial(
@@ -207,31 +199,15 @@ def op_tau_monomial(
 def op_mult_label(f: CylinderFunction) -> ModuleMap:
     """Scalar multiplication of each coefficient by the extension value
     of f at its own label (the second-leg multiplier)."""
-    return ModuleMap(
-        "1 (x) M_f",
-        lambda xi: ModuleVector(
-            xi.rank, {g: x.scale(extend(f, g)) for g, x in xi.entries.items()}
-        ),
-    )
+    return ModuleMap("1 (x) M_f", lambda g: [(g, f.extend(g), None, IDENTITY)])
 
 
 def untwist_U() -> ModuleMap:
-    return ModuleMap(
-        "U",
-        lambda xi: ModuleVector(
-            xi.rank, {g: x.left_mul_unitary(g) for g, x in xi.entries.items()}
-        ),
-    )
+    return ModuleMap("U", lambda g: [(g, ONE, None, g)])
 
 
 def untwist_U_star() -> ModuleMap:
-    return ModuleMap(
-        "U*",
-        lambda xi: ModuleVector(
-            xi.rank,
-            {g: x.left_mul_unitary(g.inverse()) for g, x in xi.entries.items()},
-        ),
-    )
+    return ModuleMap("U*", lambda g: [(g, ONE, None, g.inverse())])
 
 
 def conjugate_by_U(T: ModuleMap) -> ModuleMap:
@@ -337,7 +313,7 @@ def decay_check(
     count = 0
     for x in ball(n, R):
         weight = _weight(F, frozen, x)
-        diff = weight.scale(extend(f, x)) - weight * f
+        diff = weight.scale(f.extend(x)) - weight * f
         if not diff.is_zero():
             count += 1
             threshold = max(threshold, len(x) + 1)
@@ -389,19 +365,11 @@ def iota_check(
 
 # -- the lifted shift ------------------------------------------------
 
-def _dual_inner(n: int, gamma: ReducedWord) -> dict[ReducedWord, CylinderFunction]:
-    """The preferred small-ball values for the specialized dual
-    coefficient: at the origin it is the cylinder indicator itself."""
-    return {IDENTITY: chi(n, gamma)}
-
-
 def _shift_terms(n: int) -> list[tuple[ReducedWord, BiCylinderFunction, dict]]:
-    out = []
-    for letter_word in sphere(n, 1):
-        out.append(
-            (letter_word, dual_coefficient(n, letter_word), _dual_inner(n, letter_word))
-        )
-    return out
+    """Each generator with its dual coefficient and the preferred
+    small-ball values of that coefficient's specialization: at the
+    origin it is the cylinder indicator itself."""
+    return [(g, dual_coefficient(n, g), {IDENTITY: chi(n, g)}) for g in sphere(n, 1)]
 
 
 def build_Vbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | None = None) -> ModuleMap:
@@ -418,86 +386,63 @@ def build_Vbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | N
             F = F.scale(Scalar.of(2))
         terms.append((gamma, F, _freeze_inner(inner)))
 
-    def rule(xi: ModuleVector) -> ModuleVector:
-        out: dict[ReducedWord, CrossedElement] = {}
+    def column(g: ReducedWord) -> Iterable[Term]:
         for gamma, F, frozen in terms:
-            for g, x in xi.entries.items():
-                h = multiply(g, gamma.inverse())
-                weight = _weight(F, frozen, h)
-                if weight.is_zero():
-                    continue
-                contrib = x.left_mul_function(weight)
-                out[h] = out[h] + contrib if h in out else contrib
-        return ModuleVector(xi.rank, out)
+            h = multiply(g, gamma.inverse())
+            weight = _weight(F, frozen, h)
+            if not weight.is_zero():
+                yield h, ONE, weight, IDENTITY
 
-    return ModuleMap("Vbar", rule)
+    return ModuleMap("Vbar", column)
 
 
 def build_Vbar_closed_form(n: int) -> ModuleMap:
     """Independent construction: each nonorigin label hands its
     coefficient, cut to its own cylinder, to its parent."""
-
-    def rule(xi: ModuleVector) -> ModuleVector:
-        out: dict[ReducedWord, CrossedElement] = {}
-        for g, x in xi.entries.items():
-            if not len(g):
-                continue
-            h = g.parent()
-            contrib = x.left_mul_function(chi(n, g))
-            out[h] = out[h] + contrib if h in out else contrib
-        return ModuleVector(xi.rank, out)
-
-    return ModuleMap("Vbar-closed", rule)
+    return ModuleMap(
+        "Vbar-closed",
+        lambda g: [(g.parent(), ONE, chi(n, g), IDENTITY)] if len(g) else [],
+    )
 
 
 def build_Pbar(n: int) -> ModuleMap:
     """Diagonal weight: at each label, the sum of all specialized dual
     coefficients, which is the indicator of the label's own cylinder."""
-    terms = [(g, F, _freeze_inner(inner)) for g, F, inner in _shift_terms(n)]
+    terms = [(F, _freeze_inner(inner)) for _, F, inner in _shift_terms(n)]
 
-    @lru_cache(maxsize=None)
-    def total_weight(g: ReducedWord) -> CylinderFunction:
+    def column(g: ReducedWord) -> Iterable[Term]:
         total = CylinderFunction.zero(n)
-        for _, F, frozen in terms:
+        for F, frozen in terms:
             total = total + _weight(F, frozen, g)
-        return total
+        return [(g, ONE, total, IDENTITY)]
 
-    def rule(xi: ModuleVector) -> ModuleVector:
-        out = {}
-        for g, x in xi.entries.items():
-            y = x.left_mul_function(total_weight(g))
-            if not y.is_zero():
-                out[g] = y
-        return ModuleVector(xi.rank, out)
-
-    return ModuleMap("Pbar", rule)
+    return ModuleMap("Pbar", column)
 
 
 def build_Fbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | None = None) -> ModuleMap:
+    """The lift Vbar - Pbar + 1, column by column."""
     V = build_Vbar(n, drop=drop, perturb=perturb)
     P = build_Pbar(n)
-    I = ModuleMap.identity()
-    return ModuleMap("Fbar", lambda xi: V(xi) - P(xi) + I(xi))
+
+    def column(g: ReducedWord) -> Iterable[Term]:
+        yield from V.column(g)
+        # negate the scalar, not f: (-f) . x would be a new memoized product
+        for h, c, f, gamma in P.column(g):
+            yield h, -c, f, gamma
+        yield g, ONE, None, IDENTITY
+
+    return ModuleMap("Fbar", column)
 
 
 def build_Wbar(n: int, R: int) -> ModuleMap:
-    """Reference lifted shift: apply the tree shift fiberwise to each
-    family of coefficients sharing a group-unitary part."""
-
-    def rule(xi: ModuleVector) -> ModuleVector:
-        families: dict[ReducedWord, dict[ReducedWord, CylinderFunction]] = {}
-        for g, x in xi.entries.items():
-            for h, f in x.terms.items():
-                families.setdefault(h, {})[g] = f
-        out: dict[ReducedWord, CrossedElement] = {}
-        for h, family in families.items():
-            shifted = wbar_apply(family, n, R)
-            for label, f in shifted.items():
-                term = CrossedElement.monomial(f, h)
-                out[label] = out[label] + term if label in out else term
-        return ModuleVector(xi.rank, out)
-
-    return ModuleMap("Wbar", rule)
+    """Reference lifted shift: the tree shift applied fiberwise.  Its
+    column at g is `wbar_apply` of the constant family at g, which
+    rejects labels beyond radius R."""
+    one = CylinderFunction.constant(n, ONE)
+    return ModuleMap(
+        "Wbar",
+        lambda g: [(h, ONE, f, IDENTITY) for h, f in wbar_apply({g: one}, n, R).items()],
+    )
 
 
 def final_identity_check(

@@ -10,13 +10,12 @@ infinite-dimensional operators, not approximations.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
 from .config import DomainError, ResourceLimitError
-from .cylinders import CylinderFunction, extend
+from .cylinders import CylinderFunction
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 from .words import ReducedWord, ball, multiply
 
@@ -155,7 +154,7 @@ def op_mult(f: CylinderFunction, R: int) -> TruncatedOperator:
     basis = ball(f.rank, R)
     entries = {}
     for x in basis:
-        v = extend(f, x)
+        v = f.extend(x)
         if v:
             entries[(x, x)] = v
     return TruncatedOperator(basis, basis, entries, R, 0)
@@ -167,7 +166,7 @@ def op_mult_inverted(f: CylinderFunction, R: int) -> TruncatedOperator:
     basis = ball(f.rank, R)
     entries = {}
     for x in basis:
-        v = extend(f, x.inverse())
+        v = f.extend(x.inverse())
         if v:
             entries[(x, x)] = v
     return TruncatedOperator(basis, basis, entries, R, 0)
@@ -289,6 +288,11 @@ class SupportCertificate:
     rank: int
     interior_radius: int
     exact: bool = True
+    bound: int | None = None  # stated support bound, if any; not reported
+
+    @property
+    def within_bound(self) -> bool:
+        return self.bound is None or self.support_radius <= self.bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -301,7 +305,10 @@ class SupportCertificate:
 
 
 def support_certificate(
-    T: TruncatedOperator, interior_radius: int, description: str = ""
+    T: TruncatedOperator,
+    interior_radius: int,
+    description: str = "",
+    bound: int | None = None,
 ) -> SupportCertificate:
     """Exact support radius and rank of T over the certified interior."""
     certified = {
@@ -316,7 +323,8 @@ def support_certificate(
     for (row, col), v in certified.items():
         rows.setdefault(row, {})[col] = v
     return SupportCertificate(
-        description or repr(T), radius, exact_rank(rows.values()), interior_radius
+        description or repr(T), radius, exact_rank(rows.values()), interior_radius,
+        bound=bound,
     )
 
 
@@ -340,7 +348,8 @@ def lambda_rho_commute_check(
     delta: ReducedWord,
     R: int,
 ) -> SupportCertificate:
-    """Certify that the left and right monomials commute up to finite support."""
+    """Certify that the left and right monomials commute up to finite
+    support; the certificate carries the support bound it must meet."""
     if f.depth + len(gamma) > R - 2 or g.depth + len(delta) > R - 2:
         raise ResourceLimitError(
             f"radius {R} too small for monomials of depth+length "
@@ -350,16 +359,11 @@ def lambda_rho_commute_check(
     rho = rho_monomial(g, delta, R)
     com = commutator(lam, rho)
     interior = R - (len(gamma) + len(delta))
-    cert = support_certificate(
+    return support_certificate(
         com, interior,
         f"[lambda({gamma}-monomial), rho({delta}-monomial)] at R={R}",
+        bound=f.depth + g.depth + len(gamma) + len(delta),
     )
-    bound = f.depth + g.depth + len(gamma) + len(delta)
-    if cert.support_radius > bound:
-        raise AssertionError(
-            f"commutator support radius {cert.support_radius} exceeds bound {bound}"
-        )
-    return cert
 
 
 def conjugation_symmetry_check(
@@ -375,30 +379,3 @@ def conjugation_symmetry_check(
     lhs = I @ (lambda_monomial(f, gamma, R) @ rho_monomial(g, delta, R)) @ I
     rhs = rho_monomial(f, gamma, R) @ lambda_monomial(g, delta, R)
     return lhs == rhs
-
-
-def operator_norm_estimate(T: TruncatedOperator, iterations: int = 60) -> float:
-    """Floating-point power-iteration estimate of ||T||; diagnostic only."""
-    cols = list(T.domain)
-    if not cols or not T.entries:
-        return 0.0
-    idx = {c: i for i, c in enumerate(cols)}
-    ridx = {r: i for i, r in enumerate(T.codomain)}
-    ent = [
-        (ridx[r], idx[c], float(v.re), float(v.im)) for (r, c), v in T.entries.items()
-    ]
-    vec = [complex(1, 0)] * len(cols)
-    norm_sq = 0.0
-    for _ in range(iterations):
-        out = [0j] * len(T.codomain)
-        for r, c, re, im in ent:
-            out[r] += complex(re, im) * vec[c]
-        back = [0j] * len(cols)
-        for r, c, re, im in ent:
-            back[c] += complex(re, -im) * out[r]
-        total = math.sqrt(sum(abs(z) ** 2 for z in back))
-        if not total:
-            return 0.0
-        vec = [z / total for z in back]
-        norm_sq = total
-    return math.sqrt(norm_sq)

@@ -144,10 +144,6 @@ def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
     return ReducedWord(xl[: len(xl) - k] + yl[k:])
 
 
-def inverse(x: ReducedWord) -> ReducedWord:
-    return x.inverse()
-
-
 def dist(x: ReducedWord, y: ReducedWord) -> int:
     """Word metric d(x, y) = |x^-1 y|."""
     return len(multiply(x.inverse(), y))
@@ -252,10 +248,6 @@ class BoundaryPoint:
 
     def __str__(self) -> str:
         return f"{'' if not self.head.letters else self.head}({self.period})"
-
-
-def boundary_prefix(a: BoundaryPoint, d: int) -> ReducedWord:
-    return a.prefix(d)
 
 
 def lies_on_ray(x: ReducedWord, a: BoundaryPoint) -> bool:

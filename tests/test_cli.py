@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from boundarylab import cli, operators
 from boundarylab.cli import (
     SuiteConfig,
     _parse_mutation,
@@ -10,6 +12,7 @@ from boundarylab.cli import (
     run_suite,
 )
 from boundarylab.config import DomainError
+from boundarylab.operators import SupportCertificate
 
 
 class TestRunSuite:
@@ -28,10 +31,6 @@ class TestRunSuite:
     def test_rank_one_rejected(self):
         with pytest.raises(DomainError):
             run_suite(SuiteConfig(rank=1), "algebra")
-
-    def test_float_mode_rejected(self):
-        with pytest.raises(DomainError):
-            run_suite(SuiteConfig(exact=False), "algebra")
 
     def test_deterministic_reports(self):
         a = run_suite(SuiteConfig(), "jv").to_json_dict()
@@ -114,6 +113,47 @@ class TestMain:
     def test_radius_cap_env(self, monkeypatch, capsys):
         monkeypatch.setenv("BDL_MAX_RADIUS", "3")
         assert main(["verify", "--suite", "untwist", "--radius", "5"]) == 2
+
+
+class TestExitCodes:
+    @pytest.fixture
+    def inflated_support(self, monkeypatch):
+        """Every commutation certificate reports a support radius of 99."""
+        real = operators.support_certificate
+        monkeypatch.setattr(
+            operators, "support_certificate",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), support_radius=99),
+        )
+
+    def test_commutation_record_fails_past_bound(self, inflated_support):
+        report = run_suite(SuiteConfig(), "operators")
+        rec = {r.check_id: r for r in report.records}["operators.left-right-commutation"]
+        assert not rec.passed and rec.certificate["support_radius"] == 99
+
+    def test_oplab_commutator_exit_one_past_bound(self, inflated_support, capsys):
+        assert main(["oplab", "commutator", "--radius", "5"]) == 1
+        assert json.loads(capsys.readouterr().out)["support_radius"] == 99
+
+    def test_jv_defect_rank_equal_to_length_passes(self, capsys):
+        assert main(["jv", "defect", "--gamma", "aB", "--radius", "6"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 2
+
+    def test_jv_defect_exit_one_past_length(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "equivariance_defect",
+            lambda n, g, R: SupportCertificate("stub", 2, len(g) + 1, R),
+        )
+        assert main(["jv", "defect", "--gamma", "a", "--radius", "4"]) == 1
+
+    def test_certificate_written_to_json_path(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        assert main(["jv", "defect", "--gamma", "a", "--radius", "4", "--json", str(path)]) == 0
+        assert json.loads(path.read_text()) == json.loads(capsys.readouterr().out)
+
+    def test_malformed_radius_cap_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("BDL_MAX_RADIUS", "x")
+        assert main(["verify"]) == 2
+        assert "BDL_MAX_RADIUS" in capsys.readouterr().err
 
 
 class TestHelpers:

@@ -8,15 +8,12 @@ from boundarylab.cylinders import (
     CylinderFunction,
     chi,
     chi_tilde,
-    extend,
     extend_second,
     f_prime_value,
-    flip,
     parse_cylinder,
     tensor,
     translate,
     translate_diag,
-    vanishes_on_diagonal,
 )
 from boundarylab.scalars import ONE, ZERO, Scalar
 from boundarylab.words import (
@@ -148,13 +145,13 @@ class TestChiExtend:
         assert chi_tilde(W("a"), W("ab")) == ONE
 
     def test_extend_constant(self):
-        assert extend(const1(), IDENTITY) == ONE
+        assert const1().extend(IDENTITY) == ONE
 
     def test_extend_matches_chi_tilde_on_ball(self):
         for gamma in [W("a"), W("b"), W("Ab"), W("ba")]:
             f = chi(2, gamma)
             for x in ball(2, 4):
-                assert extend(f, x) == chi_tilde(gamma, x)
+                assert f.extend(x) == chi_tilde(gamma, x)
 
     def test_oscillation_bound(self):
         # for depth-d f: extend agrees on x, y with |x| >= d + |g|, d(x,y) <= |g|
@@ -169,27 +166,27 @@ class TestChiExtend:
                         continue
                     y = multiply(x, g.inverse())
                     assert dist(x, y) <= len(g)
-                    assert extend(f, x) == extend(f, y)
+                    assert f.extend(x) == f.extend(y)
 
 
 class TestBiCylinder:
     def test_tensor_vanishes_on_diagonal(self):
         F = tensor(chi(2, W("a")), const1() - chi(2, W("a")))
-        assert vanishes_on_diagonal(F)
+        assert F.vanishes_on_diagonal()
 
     def test_constant_does_not_vanish(self):
-        assert not vanishes_on_diagonal(tensor(const1(), const1()))
+        assert not tensor(const1(), const1()).vanishes_on_diagonal()
 
     def test_flip_involution(self):
         F = tensor(chi(2, W("a")), chi(2, W("ba")))
-        assert flip(flip(F)) == F
+        assert F.flip().flip() == F
 
     def test_diagonal_blocks_checked_at_refinement(self):
         # chi_a (x) chi_ab meets the diagonal only via nested blocks
         F = tensor(chi(2, W("a")), chi(2, W("ab")))
-        assert not vanishes_on_diagonal(F)
+        assert not F.vanishes_on_diagonal()
         G = tensor(chi(2, W("a")), chi(2, W("ba")))
-        assert vanishes_on_diagonal(G)
+        assert G.vanishes_on_diagonal()
 
     def test_algebra_matches_pointwise(self):
         pts = [(B("(ab)"), B("(ba)")), (B("(a)"), B("b(a)")), (B("(aB)"), B("(Ab)"))]

@@ -3,9 +3,9 @@ import pytest
 from boundarylab.config import DomainError, ResourceLimitError
 from boundarylab.cylinders import CylinderFunction, chi
 from boundarylab.jv import (
+    Edge,
     RayContext,
     edge_basis,
-    edge_s,
     equivariance_defect,
     index_W,
     index_b,
@@ -28,26 +28,26 @@ B = BoundaryPoint.parse
 
 class TestEdges:
     def test_edge_of_generator(self):
-        e = edge_s(W_("a"))
+        e = Edge(W_("a"))
         assert e.endpoints == (IDENTITY, W_("a"))
 
     def test_edge_of_longer_word(self):
-        e = edge_s(W_("ab"))
+        e = Edge(W_("ab"))
         assert e.endpoints == (W_("a"), W_("ab"))
 
     def test_origin_rejected(self):
         with pytest.raises(DomainError):
-            edge_s(IDENTITY)
+            Edge(IDENTITY)
 
     def test_bijection_count(self):
         for R in (1, 2, 3):
             assert len(edge_basis(2, R)) == len(ball(2, R)) - 1
 
     def test_translate_edge(self):
-        e = translate_edge(W_("b"), edge_s(W_("a")))
+        e = translate_edge(W_("b"), Edge(W_("a")))
         assert e.endpoints == (W_("b"), W_("ba"))
         back = translate_edge(W_("B"), e)
-        assert back == edge_s(W_("a"))
+        assert back == Edge(W_("a"))
 
 
 class TestOpB:
@@ -97,7 +97,7 @@ class TestEquivarianceDefect:
             for k, v in defect.entries.items()
             if k[0].norm <= 2 and len(k[1]) <= 2
         }
-        ea = edge_s(W_("a"))
+        ea = Edge(W_("a"))
         assert interior == {(ea, IDENTITY): ONE, (ea, W_("a")): -ONE}
 
     @pytest.mark.parametrize("gamma", ["a", "ab", "aba"])

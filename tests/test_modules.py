@@ -19,6 +19,7 @@ from boundarylab.modules import (
     iota_check,
     decay_check,
     maps_agree,
+    op_mult_label,
     op_phi,
     op_phi_function,
     op_phi_unitary,
@@ -268,6 +269,53 @@ class TestLiftedShift:
         out = build_Wbar(2, 3)(xi)
         assert set(out.entries) == {IDENTITY, W("a")}
         assert out.entries[IDENTITY] == CrossedElement.monomial(chi(2, W("a")), W("b"))
+
+
+class TestKernelProduct:
+    @staticmethod
+    def maps():
+        x = CrossedElement.monomial(chi(2, W("a")), W("b")) + CrossedElement.monomial(
+            chi(2, W("B")), IDENTITY
+        )
+        return [
+            op_tau_F(F_a(), inner_a()),
+            untwist_U(),
+            untwist_U_star(),
+            op_mult_label(chi(2, W("ab"))),
+            build_Vbar(2),
+            build_Pbar(2),
+            op_phi(x),
+            op_tau_gamma(W("a")),
+        ]
+
+    def test_product_is_composition(self):
+        vecs = [xi for _, xi in spanning_vectors(2, 2, 1)]
+        for T, S in itertools.product(self.maps(), repeat=2):
+            TS = T @ S
+            for xi in vecs:
+                assert TS(xi) == T(S(xi)), (T.name, S.name, xi)
+
+    def test_product_is_associative(self):
+        T, S, Q = build_Vbar(2), op_phi(CrossedElement.unitary(2, W("b"))), untwist_U()
+        vecs = [xi for _, xi in spanning_vectors(2, 2, 1)]
+        for xi in vecs:
+            assert ((T @ S) @ Q)(xi) == (T @ (S @ Q))(xi) == T(S(Q(xi)))
+
+    def test_columns_are_images_of_units(self):
+        # the image of the unit at g is the column's multipliers, each at its label
+        U = conjugate_by_U(build_Fbar(2))
+        for g in ball(2, 2):
+            image = U(unit_at(g))
+            expected = ModuleVector(2, {})
+            for h, c, f, gamma in U.column(g):
+                f = one() if f is None else f
+                term = CrossedElement.monomial(f.scale(c), gamma)
+                expected = expected + ModuleVector(2, {h: term})
+            assert image == expected
+
+    def test_wbar_rejects_labels_beyond_radius(self):
+        with pytest.raises(DomainError):
+            build_Wbar(2, 3)(unit_at(W("abab")))
 
 
 class TestFinalIdentity:

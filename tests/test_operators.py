@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from boundarylab import operators
 from boundarylab.config import DomainError, ResourceLimitError
-from boundarylab.cylinders import CylinderFunction, chi, extend
+from boundarylab.cylinders import CylinderFunction, chi
 from boundarylab.operators import (
     TruncatedOperator,
     commutator,
@@ -17,7 +19,6 @@ from boundarylab.operators import (
     op_mult,
     op_mult_inverted,
     op_right,
-    operator_norm_estimate,
     operator_rank,
     rho_monomial,
     support_certificate,
@@ -71,7 +72,7 @@ class TestBasicStructure:
         f = chi(2, W("a"))
         M = op_mult(f, 3)
         for x in ball(2, 3):
-            assert M.entry(x, x) == extend(f, x)
+            assert M.entry(x, x) == f.extend(x)
 
     def test_inverted_mult(self):
         f = chi(2, W("a"))
@@ -134,6 +135,21 @@ class TestCommutators:
             assert cert.exact
             assert cert.support_radius <= f.depth + g.depth + len(gamma) + len(delta)
 
+    def test_lambda_rho_certificate_carries_bound(self):
+        cert = lambda_rho_commute_check(chi(2, W("a")), W("a"), chi(2, W("b")), W("B"), R0 + 1)
+        assert cert.bound == 4 and cert.within_bound
+        assert "bound" not in cert.to_json_dict()
+
+    def test_lambda_rho_violation_is_a_failed_certificate(self, monkeypatch):
+        real = operators.support_certificate
+        monkeypatch.setattr(
+            operators, "support_certificate",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), support_radius=99),
+        )
+        cert = lambda_rho_commute_check(chi(2, W("a")), W("a"), one(), IDENTITY, R0 + 1)
+        assert cert.support_radius == 99 and cert.bound == 2
+        assert not cert.within_bound
+
     def test_lambda_rho_radius_guard(self):
         with pytest.raises(ResourceLimitError):
             lambda_rho_commute_check(chi(2, W("ab")), W("ab"), one(), IDENTITY, 4)
@@ -180,15 +196,6 @@ class TestIndex:
 
 
 class TestDiagnostics:
-    def test_norm_estimate_projection(self):
-        M = op_mult(chi(2, W("a")), 3)
-        assert abs(operator_norm_estimate(M) - 1.0) < 1e-9
-
-    def test_norm_estimate_zero(self):
-        basis = ball(2, 1)
-        Z = TruncatedOperator(basis, basis, {}, 1, 0)
-        assert operator_norm_estimate(Z) == 0.0
-
     def test_certificate_json(self):
         cert = support_certificate(op_mult(chi(2, W("a")), 2), 2, "mult")
         d = cert.to_json_dict()

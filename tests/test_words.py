@@ -12,7 +12,6 @@ from boundarylab.words import (
     act,
     ball,
     bigeodesic,
-    boundary_prefix,
     dist,
     generators,
     is_initial,
@@ -138,7 +137,7 @@ class TestInitial:
 
 class TestBoundaryPoints:
     def test_prefix_readout(self):
-        assert boundary_prefix(B("(ab)"), 3) == W("aba")
+        assert B("(ab)").prefix(3) == W("aba")
 
     def test_lies_on_ray(self):
         assert lies_on_ray(W("a"), B("(ab)"))
@@ -228,7 +227,7 @@ class TestGeodesicMeetsBall:
         for d in range(4):
             for y in ball(2, 6):
                 for a in periodic:
-                    if boundary_prefix(a, d) == y.prefix(d):
+                    if a.prefix(d) == y.prefix(d):
                         continue
                     # vertices of [y, a): y, ..., meet(y, a-ray), then the ray
                     m = 0
