@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import string
 import sys
 import time
 from dataclasses import dataclass
 
-from .config import DomainError, ResourceLimitError
+from .config import DomainError, ResourceLimitError, check_radius
 from .crossed import (
     PairElement,
     dual_coefficient,
@@ -53,6 +54,7 @@ from .words import (
 )
 
 SUITES = ("algebra", "operators", "jv", "untwist", "all")
+MAX_RANK = len(string.ascii_lowercase)
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,10 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.rank < 2:
             raise DomainError("rank must be at least 2")
+        if self.rank > MAX_RANK:
+            raise DomainError(
+                f"rank must be at most {MAX_RANK}: generators print as the letters a..z"
+            )
 
 
 @dataclass
@@ -257,6 +263,7 @@ def _operator_records(cfg: SuiteConfig) -> list[Record]:
 
 def _jv_records(cfg: SuiteConfig) -> list[Record]:
     n, R = cfg.rank, cfg.radius
+    check_radius(R + 1)  # the index sweep reads radius R + 1
     records = []
     idx = {r: index_b(n, r) for r in range(3, R + 2)}
     records.append(

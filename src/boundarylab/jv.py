@@ -8,17 +8,35 @@ nonidentity vertices to edges and gives the operator b its index.  For
 each direction to infinity the edge space folds back onto the vertex
 space, turning b into a shift W that moves one step toward the origin
 along the chosen ray and fixes everything off it.
+
+Each operator is a column rule (basis label to a short list of
+(row, value) pairs) applied to a declared set of columns.  The full
+truncations to a ball (`op_b`, `op_left_edges`, `op_U`) apply the rule to
+every label of the ball.  A certificate builds only the columns it reads:
+the index of b reads the interior ball, and b moves no label outward, so
+the truncation at the interior radius already has the columns of the
+untruncated operator; the conjugation defect reads the columns of the
+interior ball(n, R - 2|gamma|) and builds each factor only on the image of
+the previous one, which never leaves ball(n, R).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .config import DomainError, ResourceLimitError, check_radius
 from .cylinders import CylinderFunction, chi
-from .operators import SupportCertificate, TruncatedOperator, support_certificate
-from .scalars import ONE
+from .operators import (
+    Label,
+    SupportCertificate,
+    TruncatedOperator,
+    exact_index,
+    label_norm,
+    support_certificate,
+)
+from .scalars import ONE, Scalar
 from .words import BoundaryPoint, Letter, ReducedWord, ball, multiply
 
 
@@ -60,12 +78,14 @@ class RayContext:
     """A direction to infinity, given as a boundary point or a finite prefix.
 
     A finite prefix of length L answers ray-membership questions up to
-    depth L only; requesting more raises a domain error.
+    depth L only; requesting more raises a domain error.  Prefixes are
+    kept once computed: a ball asks for each length thousands of times.
     """
 
-    __slots__ = ("_point", "_prefix")
+    __slots__ = ("_point", "_prefix", "_prefixes")
 
     def __init__(self, direction: BoundaryPoint | ReducedWord):
+        self._prefixes: dict[int, ReducedWord] = {}
         if isinstance(direction, BoundaryPoint):
             self._point = direction
             self._prefix = None
@@ -86,10 +106,11 @@ class RayContext:
             )
 
     def prefix(self, k: int) -> ReducedWord:
-        self.require_depth(k)
-        if self._point is not None:
-            return self._point.prefix(k)
-        return self._prefix.prefix(k)
+        if k not in self._prefixes:
+            self.require_depth(k)
+            source = self._point if self._point is not None else self._prefix
+            self._prefixes[k] = source.prefix(k)
+        return self._prefixes[k]
 
     def on_ray(self, x: ReducedWord) -> bool:
         return self.prefix(len(x)) == x
@@ -98,13 +119,60 @@ class RayContext:
         return str(self._point if self._point is not None else self._prefix)
 
 
+_Column = Callable[[Label], Iterable[tuple[Label, Scalar]]]
+
+
+def _on_columns(
+    columns: Sequence[Label],
+    column: _Column,
+    R: int,
+    propagation: int,
+    codomain: Iterable[Label] | None = None,
+) -> TruncatedOperator:
+    """The operator whose column at each label is given by the rule,
+    truncated to rows of norm at most R.  Without a codomain it is
+    declared on exactly the rows its columns reach, in first-reached order.
+    """
+    entries = {}
+    reached: dict[Label, None] = {}
+    for c in columns:
+        for row, v in column(c):
+            if label_norm(row) <= R:
+                entries[(row, c)] = v
+                reached[row] = None
+    return TruncatedOperator(
+        columns, reached if codomain is None else codomain, entries, R, propagation
+    )
+
+
+def _b_column(x: ReducedWord) -> tuple[tuple[Edge, Scalar], ...]:
+    """b sends a vertex to its parent edge and kills the origin."""
+    return ((Edge(x), ONE),) if len(x) else ()
+
+
+def _left_vertex_column(gamma: ReducedWord) -> _Column:
+    return lambda x: ((multiply(gamma, x), ONE),)
+
+
+def _left_edge_column(gamma: ReducedWord) -> _Column:
+    return lambda e: ((translate_edge(gamma, e), ONE),)
+
+
+def _u_column(ray: RayContext) -> _Column:
+    """U sends an edge to its endpoint farther from the ray's direction."""
+
+    def column(e: Edge):
+        near, far = e.endpoints
+        return ((near if ray.on_ray(far) else far, ONE),)
+
+    return column
+
+
 @lru_cache(maxsize=None)
 def op_b(n: int, R: int) -> TruncatedOperator:
     """Vertex-to-parent-edge operator; kills the origin vector."""
     check_radius(R)
-    vertices = ball(n, R)
-    entries = {(Edge(x), x): ONE for x in vertices if len(x)}
-    return TruncatedOperator(vertices, edge_basis(n, R), entries, R, 0)
+    return _on_columns(ball(n, R), _b_column, R, 0, edge_basis(n, R))
 
 
 def op_left_vertices(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
@@ -116,30 +184,32 @@ def op_left_vertices(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
 @lru_cache(maxsize=None)
 def op_left_edges(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
     basis = edge_basis(n, R)
-    entries = {}
-    for e in basis:
-        image = translate_edge(gamma, e)
-        if image.norm <= R:
-            entries[(image, e)] = ONE
-    return TruncatedOperator(basis, basis, entries, R, len(gamma))
+    return _on_columns(basis, _left_edge_column(gamma), R, len(gamma), basis)
 
 
 def equivariance_defect(n: int, gamma: ReducedWord, R: int) -> SupportCertificate:
     """Exact rank and support of the conjugation defect of b by gamma.
 
-    The conjugated operator agrees with its untruncated counterpart on
-    columns of norm at most R - 2|gamma|, so the certificate is exact
+    The certificate reads only the columns of norm at most
+    R - 2|gamma|, so only those are built: L_{gamma^-1} on them, b on
+    its image (norm at most R - |gamma|), then L_gamma on those edges
+    (norm at most R).  No factor leaves ball(n, R), so these columns are
+    the columns of the untruncated conjugate and the certificate is exact
     there; the defect itself lives near the segment from the origin to
     gamma, which requires R >= 3|gamma|.
     """
+    check_radius(R)
     if 3 * len(gamma) > R:
         raise ResourceLimitError(
             f"radius {R} too small to certify the defect for |gamma|={len(gamma)}"
         )
-    b = op_b(n, R)
-    conj = op_left_edges(n, gamma, R) @ b @ op_left_vertices(n, gamma.inverse(), R)
-    defect = conj - b
     interior = R - 2 * len(gamma)
+    columns = ball(n, interior)
+    inner = _on_columns(columns, _left_vertex_column(gamma.inverse()), R, len(gamma))
+    b = _on_columns(inner.codomain, _b_column, R, 0)
+    outer = _on_columns(b.codomain, _left_edge_column(gamma), R, len(gamma))
+    conj = outer @ b @ inner
+    defect = conj - _on_columns(columns, _b_column, R, 0, conj.codomain)
     return support_certificate(
         defect, interior, f"conjugation defect of b by {gamma} at R={R}"
     )
@@ -149,13 +219,7 @@ def op_U(a: RayContext | BoundaryPoint, n: int, R: int) -> TruncatedOperator:
     """Edge-to-vertex map sending each edge to its endpoint farther from a."""
     ray = a if isinstance(a, RayContext) else RayContext(a)
     ray.require_depth(R + 1)
-    basis = edge_basis(n, R)
-    entries = {}
-    for e in basis:
-        near, far = e.endpoints
-        target = near if ray.on_ray(far) else far
-        entries[(target, e)] = ONE
-    return TruncatedOperator(basis, ball(n, R), entries, R, 1)
+    return _on_columns(edge_basis(n, R), _u_column(ray), R, 1, ball(n, R))
 
 
 def op_W_closed_form(a: RayContext | BoundaryPoint, n: int, R: int) -> TruncatedOperator:
@@ -174,12 +238,22 @@ def op_W_closed_form(a: RayContext | BoundaryPoint, n: int, R: int) -> Truncated
 
 
 def op_W(a: RayContext | BoundaryPoint, n: int, R: int) -> TruncatedOperator:
-    """The directed shift built as the fold of b, cross-checked against
-    the closed form; any mismatch is a hard error."""
+    """The directed shift built as the fold U b, cross-checked against the
+    closed form on every column of the ball; any mismatch is a hard error.
+
+    The fold is composed column by column from the rules that build op_b
+    and op_U, without materializing either operator.
+    """
     ray = a if isinstance(a, RayContext) else RayContext(a)
-    composed = op_U(ray, n, R) @ op_b(n, R)
     closed = op_W_closed_form(ray, n, R)
-    if composed.entries != closed.entries:
+    u = _u_column(ray)
+    folded = {}
+    for x in ball(n, R):
+        for e, v in _b_column(x):
+            for y, w in u(e):
+                k = (y, x)
+                folded[k] = folded[k] + w * v if k in folded else w * v
+    if {k: v for k, v in folded.items() if v} != closed.entries:
         raise AssertionError("fold of b disagrees with the closed-form shift")
     return closed
 
@@ -282,13 +356,17 @@ def wbar_apply(
 
 
 def index_b(n: int, R: int, interior_radius: int | None = None) -> int:
-    from .operators import exact_index
+    """Index of b over the interior ball (radius R - 1 by default) of the
+    truncation at R.
 
+    b moves no label outward (propagation 0), so the truncation at the
+    interior radius itself has every interior column and row of the
+    untruncated b; it is the only one built.
+    """
+    check_radius(R)
     r = interior_radius if interior_radius is not None else R - 1
-    return exact_index(op_b(n, R), r)
+    return exact_index(op_b(n, min(max(r, 0), R)), r)
 
 
 def index_W(a: RayContext | BoundaryPoint, n: int, R: int) -> int:
-    from .operators import exact_index
-
     return exact_index(op_W(a, n, R), R - 1)

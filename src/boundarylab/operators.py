@@ -265,7 +265,10 @@ def exact_index(T: TruncatedOperator, interior_radius: int) -> int:
     """dim ker T - dim ker T* over vectors supported in the interior ball.
 
     Needs a declared propagation bound so that interior columns of the
-    truncation agree with columns of the untruncated operator.
+    truncation agree with columns of the untruncated operator.  It reads
+    the interior columns of T and of T*; a row of T* is a column of T, so
+    the interior rows of T* are read straight from T's entries and T* is
+    never built.
     """
     if T.propagation is None:
         raise DomainError("operator has no declared propagation bound")
@@ -276,7 +279,12 @@ def exact_index(T: TruncatedOperator, interior_radius: int) -> int:
         )
     dom_interior = {x for x in T.domain if label_norm(x) <= interior_radius}
     cod_interior = {x for x in T.codomain if label_norm(x) <= interior_radius}
-    return kernel_dimension(T, dom_interior) - kernel_dimension(T.adjoint(), cod_interior)
+    adjoint_rows: dict[Label, dict[Label, Scalar]] = {}
+    for (row, col), v in T.entries.items():
+        if row in cod_interior:
+            adjoint_rows.setdefault(col, {})[row] = v.conj()
+    adjoint_kernel = len(cod_interior) - exact_rank(adjoint_rows.values())
+    return kernel_dimension(T, dom_interior) - adjoint_kernel
 
 
 # -- certificates ----------------------------------------------------

@@ -151,7 +151,7 @@ def test_criterion_06_tree_operator_index():
     ok = all(index_b(2, R) == 1 for R in (3, 4, 5))
     defect_ok = all(equivariance_defect(2, g, 3).rank == 1 for g in sphere(2, 1))
     sweep_ok = True
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for g in sphere(2, k):
             if equivariance_defect(2, g, 3 * k).rank > k:
                 sweep_ok = False

@@ -150,6 +150,10 @@ class TestExitCodes:
         assert main(["jv", "defect", "--gamma", "a", "--radius", "4", "--json", str(path)]) == 0
         assert json.loads(path.read_text()) == json.loads(capsys.readouterr().out)
 
+    def test_jv_defect_length_four_at_radius_cap(self, capsys):
+        assert main(["jv", "defect", "--gamma", "abab", "--radius", "12"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 4
+
     def test_malformed_radius_cap_env(self, monkeypatch, capsys):
         monkeypatch.setenv("BDL_MAX_RADIUS", "x")
         assert main(["verify"]) == 2
@@ -171,3 +175,25 @@ class TestHelpers:
         b = _random_boundary_points(2, 10)
         assert a == b
         assert len(set(a)) > 1
+
+
+class TestLimitsBeforeWork:
+    """Requests over a limit exit 2 before the first index is computed."""
+
+    @pytest.fixture(autouse=True)
+    def no_index(self, monkeypatch):
+        def index_b(*args):
+            raise AssertionError("index_b computed before the limit check")
+
+        monkeypatch.setattr(cli, "index_b", index_b)
+
+    def test_jv_index_radius_past_cap(self, capsys):
+        assert main(["jv", "index", "--radius", "12"]) == 2
+        assert "radius 13" in capsys.readouterr().err
+
+    def test_rank_past_last_letter(self, capsys):
+        assert main(["verify", "--suite", "jv", "--rank", "27"]) == 2
+        assert "at most 26" in capsys.readouterr().err
+
+    def test_rank_of_last_letter_accepted(self):
+        SuiteConfig(rank=26).validate()

@@ -13,14 +13,22 @@ from boundarylab.jv import (
     op_W,
     op_W_closed_form,
     op_b,
+    op_left_edges,
+    op_left_vertices,
     translate_edge,
     w_column,
     w_local_constancy,
     wbar_apply,
 )
-from boundarylab.operators import TruncatedOperator, operator_rank
+from boundarylab.operators import (
+    TruncatedOperator,
+    exact_index,
+    kernel_dimension,
+    operator_rank,
+    support_certificate,
+)
 from boundarylab.scalars import ONE
-from boundarylab.words import IDENTITY, BoundaryPoint, ReducedWord, ball
+from boundarylab.words import IDENTITY, BoundaryPoint, ReducedWord, ball, sphere
 
 W_ = ReducedWord.parse
 B = BoundaryPoint.parse
@@ -88,8 +96,6 @@ class TestEquivarianceDefect:
 
     def test_generator_defect_entries(self):
         b = op_b(2, 4)
-        from boundarylab.jv import op_left_edges, op_left_vertices
-
         conj = op_left_edges(2, W_("a"), 4) @ b @ op_left_vertices(2, W_("A"), 4)
         defect = conj - b
         interior = {
@@ -109,6 +115,61 @@ class TestEquivarianceDefect:
     def test_radius_guard(self):
         with pytest.raises(ResourceLimitError):
             equivariance_defect(2, W_("ab"), 5)
+
+    def test_radius_cap(self):
+        with pytest.raises(ResourceLimitError):
+            equivariance_defect(2, W_("a"), 13)
+
+    def test_rank_and_support_equal_length(self):
+        # observed: the defect of every word up to length 4 has rank and
+        # support radius exactly |gamma| at R = 3|gamma|
+        for k in (1, 2, 3, 4):
+            for g in sphere(2, k):
+                cert = equivariance_defect(2, g, 3 * k)
+                assert (cert.rank, cert.support_radius) == (k, k), g
+
+
+def full_ball_defect(n, g, R):
+    """The defect certificate from the three factors truncated to the whole
+    ball(n, R), as `equivariance_defect` built it before it was restricted
+    to the certified columns."""
+    b = op_b(n, R)
+    conj = op_left_edges(n, g, R) @ b @ op_left_vertices(n, g.inverse(), R)
+    return support_certificate(
+        conj - b, R - 2 * len(g), f"conjugation defect of b by {g} at R={R}"
+    )
+
+
+class TestColumnRestrictedCertificates:
+    """The certificates built on the columns they read agree with the
+    ones built on the whole ball."""
+
+    @pytest.mark.parametrize(
+        "n, g, R",
+        [(2, g, R) for k in (1, 2) for g in sphere(2, k) for R in (3 * k, 3 * k + 1)]
+        + [(3, g, 3) for g in sphere(3, 1)]
+        + [(2, W_("abA"), 9)],
+        ids=str,
+    )
+    def test_defect_matches_full_ball(self, n, g, R):
+        assert equivariance_defect(n, g, R) == full_ball_defect(n, g, R)
+
+    @pytest.mark.parametrize("R", [3, 4, 5, 6])
+    def test_index_matches_full_ball(self, R):
+        assert index_b(2, R) == exact_index(op_b(2, R), R - 1) == 1
+
+    def test_exact_index_matches_adjoint(self):
+        T = op_U(B("(ab)"), 2, 4) @ op_b(2, 4)
+        adj = T.adjoint()
+        for r in (1, 2, 3):
+            dom = {x for x in T.domain if len(x) <= r}
+            cod = {x for x in T.codomain if len(x) <= r}
+            assert exact_index(T, r) == kernel_dimension(T, dom) - kernel_dimension(adj, cod)
+
+    def test_fold_matches_full_ball(self):
+        for a in (B("(ab)"), B("(A)"), B("b(a)"), B("(abAB)")):
+            composed = op_U(a, 2, 5) @ op_b(2, 5)
+            assert op_W(a, 2, 5).entries == composed.entries
 
 
 class TestWField:
