@@ -1,9 +1,18 @@
 """Locally constant function calculus on the boundary and its square.
 
-A depth-d cylinder function is stored as a sparse table over the reduced
-words of length d (absent entries are zero); construction canonicalizes
-to minimal depth, so equality of objects is equality of functions.  The
-two-variable version keeps an independent depth per slot.
+A cylinder function is stored as the coarsest partition of its support
+into cylinders of mixed length: a table from each cell word to its
+nonzero value.  Construction merges every full sibling group with one
+value into its parent, deepest cells first, so the partition is unique
+and equality of objects is equality of functions.  The depth is the
+length of the deepest cell, the least d for which the function is
+constant on every cylinder of length d.  A product or a sum pairs the
+cells of its operands that are nested and splits a cell only where a
+cell of the other operand lies strictly below it, so its cost follows
+the cells that change rather than the sphere of the depth.  Reports
+render the uniform table at the depth, as `refine` does.  The
+two-variable version keeps a uniform table with an independent depth
+per slot.
 
 The canonical extension of a cylinder function to group elements is zero
 on the ball below its depth; for two-variable functions the second-slot
@@ -47,37 +56,29 @@ def _continuations(n: int, last: Letter | None, k: int) -> tuple[tuple[Letter, .
 
 
 def word_extensions(w: ReducedWord, k: int, n: int) -> list[ReducedWord]:
+    if not k:
+        return [w]
     last = w.letters[-1] if w.letters else None
     return [ReducedWord(w.letters + t) for t in _continuations(n, last, k)]
 
 
 class CylinderFunction:
-    """An exact locally constant function on the boundary of F_n."""
+    """An exact locally constant function on the boundary of F_n, stored
+    as the coarsest partition of its support into cylinders."""
 
     __slots__ = ("rank", "depth", "table", "_hash")
 
     def __init__(self, rank: int, depth: int, table: Mapping[ReducedWord, Scalar]):
+        """`table` maps disjoint cylinders of length at most `depth` to values."""
         check_depth(depth)
-        tbl = {w: v for w, v in table.items() if v}
-        # canonical form: merge sibling groups that are constant
-        while depth > 0:
-            by_parent: dict[ReducedWord, list[Scalar]] = {}
-            for w, v in tbl.items():
-                by_parent.setdefault(w.parent(), []).append(v)
-            ok = True
-            for p, vals in by_parent.items():
-                nchildren = 2 * rank if p == IDENTITY else 2 * rank - 1
-                if len(vals) != nchildren or any(v != vals[0] for v in vals):
-                    ok = False
-                    break
-            if not ok:
-                break
-            tbl = {p: vals[0] for p, vals in by_parent.items()}
-            depth -= 1
+        cells = {w: v for w, v in table.items() if v}
+        _merge_siblings(rank, cells)
         self.rank = rank
-        self.depth = depth
-        self.table = tbl
-        self._hash = hash((rank, depth, frozenset(tbl.items())))
+        self.depth = max([len(w.letters) for w in cells], default=0)
+        if self.depth > depth:
+            raise DomainError(f"cell of length {self.depth} in a depth-{depth} table")
+        self.table = cells
+        self._hash = hash((rank, frozenset(cells.items())))
 
     # -- constructors ------------------------------------------------
 
@@ -99,7 +100,6 @@ class CylinderFunction:
         return (
             isinstance(other, CylinderFunction)
             and self.rank == other.rank
-            and self.depth == other.depth
             and self.table == other.table
         )
 
@@ -110,55 +110,83 @@ class CylinderFunction:
         return not self.table
 
     def refine(self, depth: int) -> "CylinderFunction":
-        """The same function represented at a larger depth (non-canonical table)."""
+        """The same function tabulated on every cylinder of length `depth`."""
         if depth < self.depth:
             raise DomainError(f"cannot refine depth {self.depth} down to {depth}")
         check_depth(depth)
-        return self._refined_table(depth)
-
-    def _refined_table(self, depth: int) -> "CylinderFunction":
-        if depth == self.depth:
+        tbl = self._uniform(depth)
+        if depth == self.depth and tbl is self.table:
             return self
+        out = _Refined.__new__(_Refined)
+        out.rank, out.depth, out.table = self.rank, depth, tbl
+        out._hash, out.canonical = self._hash, self
+        return out
+
+    def _uniform(self, depth: int) -> Mapping[ReducedWord, Scalar]:
+        """The nonzero values on the cylinders of length `depth` >= every
+        cell; the table itself when every cell has that length."""
+        if all(len(w.letters) == depth for w in self.table):
+            return self.table
         tbl = {}
         for w, v in self.table.items():
-            for ext in word_extensions(w, depth - self.depth, self.rank):
+            for ext in word_extensions(w, depth - len(w.letters), self.rank):
                 tbl[ext] = v
-        out = CylinderFunction.__new__(CylinderFunction)
-        out.rank, out.depth, out.table = self.rank, depth, tbl
-        out._hash = None  # non-canonical scratch value; never compared
-        return out
+        return tbl
 
     # -- evaluation --------------------------------------------------
 
     def at_boundary(self, a: BoundaryPoint) -> Scalar:
-        return self.table.get(a.prefix(self.depth), ZERO)
+        return self.extend(a.prefix(self.depth))
 
     def extend(self, x: ReducedWord) -> Scalar:
         """Canonical extension to the group: zero inside the ball B_{d-1}."""
-        if len(x) < self.depth:
+        xl = x.letters
+        if len(xl) < self.depth:
             return ZERO
-        return self.table.get(x.prefix(self.depth), ZERO)
+        for w, v in self.table.items():
+            wl = w.letters
+            if xl[: len(wl)] == wl:
+                return v
+        return ZERO
 
     # -- pointwise algebra -------------------------------------------
 
-    def _common(self, other: "CylinderFunction") -> tuple["CylinderFunction", "CylinderFunction"]:
+    def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
         if self.rank != other.rank:
             raise DomainError("rank mismatch")
-        d = max(self.depth, other.depth)
-        return self._refined_table(d), other._refined_table(d)
-
-    def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
-        if self._hash is not None and other._hash is not None:
-            a, b = (self, other) if self._hash <= other._hash else (other, self)
-            return _cached_sum(a, b)
-        return self._plain_add(other)
+        a, b = (self, other) if self._hash <= other._hash else (other, self)
+        return _cached_sum(a, b)
 
     def _plain_add(self, other: "CylinderFunction") -> "CylinderFunction":
-        f, g = self._common(other)
-        tbl = dict(f.table)
-        for w, v in g.table.items():
-            tbl[w] = tbl.get(w, ZERO) + v
-        return CylinderFunction(self.rank, f.depth, tbl)
+        """Cells of both operands, with a cell split only where a cell of
+        the other operand lies strictly below it."""
+        out = dict(other.table)
+        split: dict[ReducedWord, tuple[Scalar, list[ReducedWord]]] = {}
+        for u, x in self.table.items():
+            ul = u.letters
+            k = len(ul)
+            inside = []
+            for v, y in other.table.items():
+                vl = v.letters
+                if len(vl) > k:
+                    if vl[:k] == ul:
+                        inside.append(v)
+                elif ul[: len(vl)] == vl:
+                    out[u] = y + x
+                    if len(vl) < k:
+                        split.setdefault(v, (y, []))[1].append(u)
+                    break
+            else:
+                if inside:
+                    for v in inside:
+                        out[v] = out[v] + x
+                    split[u] = (x, inside)
+                else:
+                    out[u] = x
+        for cell, (value, inside) in split.items():
+            out.pop(cell, None)
+            _fill_around(self.rank, cell, inside, value, out)
+        return CylinderFunction(self.rank, max(self.depth, other.depth), out)
 
     def __sub__(self, other: "CylinderFunction") -> "CylinderFunction":
         return self + (-other)
@@ -169,19 +197,24 @@ class CylinderFunction:
     def __mul__(self, other: "CylinderFunction") -> "CylinderFunction":
         if self.rank != other.rank:
             raise DomainError("rank mismatch")
-        if self._hash is not None and other._hash is not None:
-            a, b = (self, other) if self._hash <= other._hash else (other, self)
-            return _cached_product(a, b)
-        return self._plain_mul(other)
+        a, b = (self, other) if self._hash <= other._hash else (other, self)
+        return _cached_product(a, b)
 
     def _plain_mul(self, other: "CylinderFunction") -> "CylinderFunction":
-        lo, hi = (self, other) if self.depth <= other.depth else (other, self)
-        tbl = {}
-        for w, v in hi.table.items():
-            u = lo.table.get(w.prefix(lo.depth))
-            if u is not None:
-                tbl[w] = v * u
-        return CylinderFunction(self.rank, hi.depth, tbl)
+        """The deeper cell of every nested pair of cells, one from each operand."""
+        out = {}
+        for u, x in self.table.items():
+            ul = u.letters
+            k = len(ul)
+            for v, y in other.table.items():
+                vl = v.letters
+                if len(vl) >= k:
+                    if vl[:k] == ul:
+                        out[v] = x * y
+                elif ul[: len(vl)] == vl:
+                    out[u] = x * y
+                    break
+        return CylinderFunction(self.rank, max(self.depth, other.depth), out)
 
     def scale(self, c: Scalar) -> "CylinderFunction":
         return CylinderFunction(self.rank, self.depth, {w: c * v for w, v in self.table.items()})
@@ -190,17 +223,76 @@ class CylinderFunction:
         return CylinderFunction(self.rank, self.depth, {w: v.conj() for w, v in self.table.items()})
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{w}:{v}" for w, v in sorted(self.table.items(), key=lambda t: t[0].sort_key()))
+        body = ", ".join(f"{w}:{v}" for w, v in _shortlex(self._uniform(self.depth)))
         return f"Cyl(n={self.rank}, d={self.depth}, {{{body}}})"
 
     def to_json_dict(self) -> dict:
         return {
             "depth": self.depth,
             "values": {
-                str(w): [str(v.re), str(v.im)]
-                for w, v in sorted(self.table.items(), key=lambda t: t[0].sort_key())
+                str(w): [str(v.re), str(v.im)] for w, v in _shortlex(self._uniform(self.depth))
             },
         }
+
+
+class _Refined(CylinderFunction):
+    """A function tabulated at a uniform depth above its own; it compares
+    and hashes as the canonical function it came from."""
+
+    __slots__ = ("canonical",)
+
+    def __eq__(self, other) -> bool:
+        return self.canonical == other
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def _shortlex(table: Mapping[ReducedWord, Scalar]) -> list[tuple[ReducedWord, Scalar]]:
+    return sorted(table.items(), key=lambda t: t[0].sort_key())
+
+
+def _merge_siblings(rank: int, cells: dict[ReducedWord, Scalar]) -> None:
+    """Replace every full sibling group with one value by its parent,
+    deepest cells first, so that merged parents can merge again."""
+    if len(cells) < 2 * rank - 1:
+        return
+    levels: dict[int, list[ReducedWord]] = {}
+    for w in cells:
+        levels.setdefault(len(w.letters), []).append(w)
+    for k in range(max(levels), 0, -1):
+        groups: dict[tuple[Letter, ...], list[ReducedWord]] = {}
+        for w in levels.get(k, ()):
+            groups.setdefault(w.letters[:-1], []).append(w)
+        for parent, ws in groups.items():
+            if len(ws) != (2 * rank - 1 if parent else 2 * rank):
+                continue
+            value = cells[ws[0]]
+            if any(cells[w] != value for w in ws):
+                continue
+            for w in ws:
+                del cells[w]
+            p = ws[0].parent()
+            cells[p] = value
+            levels.setdefault(k - 1, []).append(p)
+
+
+def _fill_around(
+    rank: int,
+    cell: ReducedWord,
+    inside: list[ReducedWord],
+    value: Scalar,
+    out: dict[ReducedWord, Scalar],
+) -> None:
+    """Give `value` to the cells that partition the cylinder at `cell`
+    outside the disjoint cylinders `inside`, all strictly below it."""
+    k = len(cell.letters)
+    path = {v.letters[:j] for v in inside for j in range(k, len(v.letters))}
+    taken = path | {v.letters for v in inside}
+    for p in path:
+        for step in _continuations(rank, p[-1] if p else None, 1):
+            if p + step not in taken:
+                out[ReducedWord(p + step)] = value
 
 
 @lru_cache(maxsize=None)
@@ -403,8 +495,9 @@ def tensor(f: CylinderFunction, g: CylinderFunction) -> BiCylinderFunction:
     if f.rank != g.rank:
         raise DomainError("rank mismatch")
     tbl = {}
-    for u, c in f.table.items():
-        for v, d in g.table.items():
+    g_cells = g._uniform(g.depth)
+    for u, c in f._uniform(f.depth).items():
+        for v, d in g_cells.items():
             tbl[(u, v)] = c * d
     return BiCylinderFunction(f.rank, f.depth, g.depth, tbl)
 
@@ -441,10 +534,10 @@ def translate_legs(
     for (u, v), c in F.table.items():
         fu = translate(gamma, CylinderFunction.indicator(n, u)) if len(u) else CylinderFunction.constant(n, ONE)
         fv = translate(delta, CylinderFunction.indicator(n, v)) if len(v) else CylinderFunction.constant(n, ONE)
-        fu = fu._refined_table(d1)
-        fv = fv._refined_table(d2)
-        for ue, cu in fu.table.items():
-            for ve, cv in fv.table.items():
+        fu = fu._uniform(d1)
+        fv = fv._uniform(d2)
+        for ue, cu in fu.items():
+            for ve, cv in fv.items():
                 k = (ue, ve)
                 val = tbl.get(k, ZERO) + c * cu * cv
                 if val:

@@ -287,9 +287,15 @@ class LocalConstancyCertificate:
 def w_local_constancy(n: int, x: ReducedWord, R: int) -> LocalConstancyCertificate:
     """Check that the shift column at x is determined by the depth-|x|
     cylinder of the direction, by comparing deep extensions of every
-    depth-max(|x|, 1) prefix against the shallow formula."""
+    depth-max(|x|, 1) prefix against the shallow formula.
+
+    Only the column at x of the shift on ball(n, R) is built for each
+    ray, from the closed form and from the fold of b, and as in op_W a
+    mismatch between the two is a hard error.
+    """
     from .words import sphere
 
+    check_radius(R)
     depth = max(len(x), 1)
     cases = 0
     ok = True
@@ -297,13 +303,26 @@ def w_local_constancy(n: int, x: ReducedWord, R: int) -> LocalConstancyCertifica
         expected = w_column(u, x)
         for ray in _deep_extensions(u, R + 1):
             cases += 1
-            W = op_W(ray, n, R)
-            col = {row: v for (row, col_), v in W.entries.items() if col_ == x}
+            col = _checked_shift_column(ray, x) if len(x) <= R else {}
             if expected is None:
                 ok = ok and not col
             else:
                 ok = ok and col == {expected: ONE}
     return LocalConstancyCertificate(str(x), depth, cases, ok)
+
+
+def _checked_shift_column(ray: RayContext, x: ReducedWord) -> dict[ReducedWord, Scalar]:
+    """The closed-form shift's column at x, checked against the column of
+    the fold U b built from the rules of op_U and op_b."""
+    closed = {(x.parent() if ray.on_ray(x) else x): ONE} if len(x) else {}
+    u = _u_column(ray)
+    folded = {}
+    for e, v in _b_column(x):
+        for y, w in u(e):
+            folded[y] = folded[y] + w * v if y in folded else w * v
+    if {y: c for y, c in folded.items() if c} != closed:
+        raise AssertionError("fold of b disagrees with the closed-form shift")
+    return closed
 
 
 def _deep_extensions(u: ReducedWord, depth: int) -> list[RayContext]:

@@ -197,3 +197,12 @@ class TestLimitsBeforeWork:
 
     def test_rank_of_last_letter_accepted(self):
         SuiteConfig(rank=26).validate()
+
+    def test_verify_all_radius_past_cap(self, monkeypatch, capsys):
+        # the jv radius is checked before the algebra suite, the first to run
+        def algebra_records(cfg):
+            raise AssertionError("algebra suite ran before the limit check")
+
+        monkeypatch.setattr(cli, "_algebra_records", algebra_records)
+        assert main(["verify", "--suite", "all", "--radius", "12"]) == 2
+        assert "radius 13" in capsys.readouterr().err

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boundarylab.config import DomainError
 from boundarylab.cylinders import (
@@ -14,14 +15,16 @@ from boundarylab.cylinders import (
     tensor,
     translate,
     translate_diag,
+    word_extensions,
 )
-from boundarylab.scalars import ONE, ZERO, Scalar
+from boundarylab.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from boundarylab.words import (
     IDENTITY,
     BoundaryPoint,
     ReducedWord,
     act,
     ball,
+    multiply,
     sphere,
 )
 
@@ -71,6 +74,63 @@ class TestRefineCanonical:
             assert f == g
             for a in points:
                 assert f.at_boundary(a) == g.at_boundary(a)
+
+
+class TestEqualityAcrossConstructors:
+    """Equal functions compare equal and hash equal, whatever made them."""
+
+    def assert_all_equal(self, fns):
+        for f, g in itertools.product(fns, repeat=2):
+            assert f == g
+            assert hash(f) == hash(g)
+        assert len(set(fns)) == 1
+
+    def test_indicator(self):
+        f = chi(2, W("a"))
+        self.assert_all_equal([
+            f,
+            CylinderFunction.indicator(2, W("a")),
+            parse_cylinder("chi(a)", 2),
+            parse_cylinder("chi(aa) + chi(ab) + chi(aB)", 2),
+            CylinderFunction(2, 2, f.refine(2).table),
+            CylinderFunction(2, 3, {W(w): ONE for w in ("aa", "ab", "aBA", "aBa", "aBB")}),
+            f.refine(2),
+            f.refine(3),
+            f.refine(3).refine(4),
+        ])
+
+    def test_constant(self):
+        one = const1()
+        self.assert_all_equal([
+            one,
+            parse_cylinder("1", 2),
+            parse_cylinder("chi(a) + chi(A) + chi(b) + chi(B)", 2),
+            CylinderFunction(2, 1, {u: ONE for u in sphere(2, 1)}),
+            CylinderFunction(2, 2, one.refine(2).table),
+            one.refine(2),
+        ])
+
+    def test_mixed_cells(self):
+        f = const1() - chi(2, W("ab"))
+        self.assert_all_equal([
+            f,
+            parse_cylinder("1 - chi(ab)", 2),
+            CylinderFunction(2, 3, f.refine(3).table),
+            f.refine(2),
+            f.refine(3),
+        ])
+        assert set(f.refine(2).table) == set(sphere(2, 2)) - {W("ab")}
+        assert f.refine(2).refine(2).table == f.refine(2).table
+
+    def test_refined_arithmetic(self):
+        f, g = chi(2, W("a")), const1() - chi(2, W("ab"))
+        assert f.refine(3) * g == f * g
+        assert f.refine(2) + g.refine(3) == f + g
+        assert translate(W("b"), f.refine(2)) == translate(W("b"), f)
+
+    def test_cells_deeper_than_depth_rejected(self):
+        with pytest.raises(DomainError):
+            CylinderFunction(2, 1, {W("ab"): ONE})
 
 
 class TestPointwise:
@@ -268,3 +328,137 @@ def test_translate_depth_bound(path):
     g = ReducedWord.parse("".join(path)) if path else IDENTITY
     f = chi(2, W("ab"))
     assert translate(g, f).depth <= f.depth + len(g)
+
+
+# -- cross-check against the uniform-depth representation ---------------
+#
+# Before cylinder functions were stored as cell partitions, a function was
+# a table over every reduced word of one depth, canonicalized by merging
+# whole levels.  That representation lives on here, on (depth, table)
+# pairs, as the reference for the cell arithmetic and rendering.
+
+
+def ref_canonical(n, depth, table):
+    tbl = {w: v for w, v in table.items() if v}
+    while depth > 0:
+        by_parent = {}
+        for w, v in tbl.items():
+            by_parent.setdefault(w.parent(), []).append(v)
+        if any(
+            len(vals) != (2 * n if p == IDENTITY else 2 * n - 1)
+            or any(v != vals[0] for v in vals)
+            for p, vals in by_parent.items()
+        ):
+            break
+        tbl = {p: vals[0] for p, vals in by_parent.items()}
+        depth -= 1
+    return depth, tbl
+
+
+def ref_refine(n, f, depth):
+    d, tbl = f
+    return {ext: v for w, v in tbl.items() for ext in word_extensions(w, depth - d, n)}
+
+
+def ref_add(n, f, g):
+    d = max(f[0], g[0])
+    tbl = ref_refine(n, f, d)
+    for w, v in ref_refine(n, g, d).items():
+        tbl[w] = tbl.get(w, ZERO) + v
+    return ref_canonical(n, d, tbl)
+
+
+def ref_mul(n, f, g):
+    (dl, lo), (dh, hi) = sorted([f, g], key=lambda t: t[0])
+    tbl = {w: v * lo[w.prefix(dl)] for w, v in hi.items() if w.prefix(dl) in lo}
+    return ref_canonical(n, dh, tbl)
+
+
+def ref_extend(f, x):
+    d, tbl = f
+    return ZERO if len(x) < d else tbl.get(x.prefix(d), ZERO)
+
+
+def ref_translate(n, gamma, f):
+    # |w| = d + |gamma| leaves at least d letters of gamma^-1 w uncancelled
+    d = f[0] + len(gamma)
+    g_inv = gamma.inverse()
+    return ref_canonical(n, d, {w: ref_extend(f, multiply(g_inv, w)) for w in sphere(n, d)})
+
+
+def ref_repr(n, f):
+    d, tbl = f
+    body = ", ".join(f"{w}:{v}" for w, v in sorted(tbl.items(), key=lambda t: t[0].sort_key()))
+    return f"Cyl(n={n}, d={d}, {{{body}}})"
+
+
+def ref_json(f):
+    d, tbl = f
+    return {
+        "depth": d,
+        "values": {
+            str(w): [str(v.re), str(v.im)]
+            for w, v in sorted(tbl.items(), key=lambda t: t[0].sort_key())
+        },
+    }
+
+
+VALUES = [ZERO, ONE, ONE, MINUS_ONE, Scalar.of(2), Scalar.of(0, 1)]
+
+
+def random_cells(rng, n, depth):
+    """A random disjoint table with cells of length at most `depth`; some
+    splits give every child the same value, so that they merge back."""
+    cells = {}
+
+    def visit(w, forced):
+        if len(w) < depth and rng.random() < 0.4:
+            same = rng.choice(VALUES) if rng.random() < 0.25 else forced
+            for child in word_extensions(w, 1, n):
+                visit(child, same)
+        else:
+            cells[w] = forced if forced is not None else rng.choice(VALUES)
+
+    visit(IDENTITY, None)
+    return cells
+
+
+def tabulate(n, cells, depth):
+    """The value on each cylinder of length `depth`, read off the cell above it."""
+    return {
+        w: next((v for c, v in cells.items() if w.letters[: len(c)] == c.letters), ZERO)
+        for w in sphere(n, depth)
+    }
+
+
+def agrees_with_reference(n, f, ref):
+    return (
+        repr(f) == ref_repr(n, ref)
+        and f.to_json_dict() == ref_json(ref)
+        and f.depth == ref[0]
+        and f == CylinderFunction(n, ref[0], ref[1])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 2**32),
+    st.sampled_from(["1", "a", "B", "ab", "Ba"]),
+)
+def test_cells_match_uniform_reference(n, d1, d2, seed, gamma):
+    rng = random.Random(seed)
+    gamma = ReducedWord.parse(gamma)
+    cells_f, cells_g = random_cells(rng, n, d1), random_cells(rng, n, d2)
+    f, g = CylinderFunction(n, d1, cells_f), CylinderFunction(n, d2, cells_g)
+    rf = ref_canonical(n, d1, tabulate(n, cells_f, d1))
+    rg = ref_canonical(n, d2, tabulate(n, cells_g, d2))
+    assert agrees_with_reference(n, f, rf)
+    assert agrees_with_reference(n, g, rg)
+    assert agrees_with_reference(n, f + g, ref_add(n, rf, rg))
+    assert agrees_with_reference(n, f * g, ref_mul(n, rf, rg))
+    assert agrees_with_reference(n, translate(gamma, f), ref_translate(n, gamma, rf))
+    for x in ball(n, 5):
+        assert f.extend(x) == ref_extend(rf, x)

@@ -1,13 +1,14 @@
 """Byte-for-byte comparison of `verify` reports with golden copies: the
-`all` suite at the default scope and under each flagship mutation, and
-the `jv` suite at rank 3 and at radius 6.
+`all` suite at the default scope, under each flagship mutation and at
+rank 3, and the `jv` suite at rank 3 and at radius 6.
 
-The `all` golden files were written by `boundarylab verify --suite all
---json` before module maps became kernel data, and the `jv` ones by
+The rank-2 `all` golden files were written by `boundarylab verify --suite
+all --json` before module maps became kernel data, the `jv` ones by
 `boundarylab verify --suite jv --rank 3 --json` and `--radius 6 --json`
 before the tree-cycle certificates were restricted to the columns they
-read; a deliberate change to a report regenerates them with the same
-commands.
+read, and the rank-3 `all` one by `boundarylab verify --suite all --rank 3
+--json` before cylinder functions became cell partitions; a deliberate
+change to a report regenerates them with the same commands.
 """
 
 from pathlib import Path
@@ -54,3 +55,9 @@ def test_jv_report_matches_golden(name, scope, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "jv", *scope, "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_rank3_report_matches_golden(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--rank", "3", "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "verify-all-rank3.json").read_bytes()

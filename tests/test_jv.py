@@ -250,6 +250,31 @@ class TestLocalConstancy:
         for x in ball(2, 3):
             assert w_local_constancy(2, x, 3).passed
 
+    def test_matches_column_of_full_shift(self):
+        # the column at x read off op_W on the whole ball, for every ray
+        from boundarylab.jv import LocalConstancyCertificate, _deep_extensions
+
+        def from_full_shift(n, x, R):
+            depth, cases, ok = max(len(x), 1), 0, True
+            for u in sphere(n, depth):
+                expected = w_column(u, x)
+                for ray in _deep_extensions(u, R + 1):
+                    cases += 1
+                    col = {r: v for (r, c), v in op_W(ray, n, R).entries.items() if c == x}
+                    ok = ok and (not col if expected is None else col == {expected: ONE})
+            return LocalConstancyCertificate(str(x), depth, cases, ok)
+
+        for n, R, labels in [(2, 3, ball(2, 3) + [W_("abab")]), (3, 2, ball(3, 1))]:
+            for x in labels:
+                assert w_local_constancy(n, x, R) == from_full_shift(n, x, R)
+
+    def test_fold_mismatch_is_a_hard_error(self, monkeypatch):
+        from boundarylab import jv
+
+        monkeypatch.setattr(jv, "_b_column", lambda x: ())
+        with pytest.raises(AssertionError):
+            w_local_constancy(2, W_("a"), 3)
+
     def test_w_column_values(self):
         assert w_column(W_("ab"), W_("a")) == IDENTITY
         assert w_column(W_("ab"), W_("b")) == W_("b")
