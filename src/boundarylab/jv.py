@@ -242,9 +242,21 @@ def op_W(a: RayContext | BoundaryPoint, n: int, R: int) -> TruncatedOperator:
     closed form on every column of the ball; any mismatch is a hard error.
 
     The fold is composed column by column from the rules that build op_b
-    and op_U, without materializing either operator.
+    and op_U, without materializing either operator.  The last checked
+    shift toward a boundary point is kept, since every caller that
+    certifies a ray asks for its index next (`index_W`).
     """
-    ray = a if isinstance(a, RayContext) else RayContext(a)
+    if isinstance(a, BoundaryPoint):
+        return _last_shift(a, n, R)
+    return _checked_shift(a, n, R)
+
+
+@lru_cache(maxsize=1)
+def _last_shift(a: BoundaryPoint, n: int, R: int) -> TruncatedOperator:
+    return _checked_shift(RayContext(a), n, R)
+
+
+def _checked_shift(ray: RayContext, n: int, R: int) -> TruncatedOperator:
     closed = op_W_closed_form(ray, n, R)
     u = _u_column(ray)
     folded = {}

@@ -223,13 +223,20 @@ def spanning_indicators(n: int, d: int) -> list[CylinderFunction]:
     return out
 
 
-def spanning_vectors(n: int, R: int, d: int) -> Iterable[tuple[str, ModuleVector]]:
+def spanning_vectors(
+    n: int, R: int, d: int
+) -> Iterable[tuple[tuple[CylinderFunction, ReducedWord], ModuleVector]]:
     """Basis-style vectors: every bounded-depth indicator at every label
-    in the ball, in deterministic shortlex order."""
+    in the ball, in deterministic shortlex order.  Each comes with its
+    (indicator, label) pair; `_describe` renders it for the failures a
+    certificate reports."""
     for g in ball(n, R):
         for f in spanning_indicators(n, d):
-            desc = f"{f!r} at {g}"
-            yield desc, ModuleVector.basis(n, f, g)
+            yield (f, g), ModuleVector.basis(n, f, g)
+
+
+def _describe(keys: list[tuple[CylinderFunction, ReducedWord]]) -> tuple[str, ...]:
+    return tuple(f"{f!r} at {g}" for f, g in keys)
 
 
 @dataclass(frozen=True)
@@ -260,18 +267,15 @@ def maps_agree(
     check_radius(R)
     check_depth(d)
     checked = 0
-    first = None
-    labels: list[str] = []
-    for desc, xi in spanning_vectors(n, R, d):
+    bad = []
+    for key, xi in spanning_vectors(n, R, d):
         checked += 1
-        if T(xi) == S(xi):
-            continue
-        if first is None:
-            first = desc
-        labels.append(desc)
+        if T(xi) != S(xi) and len(bad) < 16:
+            bad.append(key)
+    labels = _describe(bad)
     return EqualityCertificate(
         description or f"{T.name} = {S.name}",
-        n, R, d, checked, first is None, first, tuple(labels[:16]),
+        n, R, d, checked, not bad, labels[0] if bad else None, labels,
     )
 
 
@@ -336,8 +340,7 @@ def iota_check(
     set no larger than the decay threshold allows."""
     n = f.rank
     checked = 0
-    first = None
-    bad: list[str] = []
+    bad = []
     worst = 0
     max_shift = max((len(delta) for delta in b.terms), default=0)
     limit = 0
@@ -347,19 +350,19 @@ def iota_check(
         S = op_tau_monomial(F, delta, inner) @ op_phi_function(f)
         cert = decay_check(F, f, R, inner)
         limit = max(limit, cert.threshold + max_shift)
-        for desc, xi in spanning_vectors(n, R - max_shift, d):
+        for key, xi in spanning_vectors(n, R - max_shift, d):
             checked += 1
             delta_out = T(xi) - S(xi)
             if delta_out.is_zero():
                 continue
-            if first is None:
-                first = desc
-            bad.append(desc)
+            if len(bad) < 16:
+                bad.append(key)
             worst = max(worst, max(len(g) for g in delta_out.entries))
     ok = worst <= limit
+    labels = _describe(bad)
     return EqualityCertificate(
         "second-leg extension matches pointwise multiplication up to finite defect",
-        n, R, d, checked, first is None or ok, first, tuple(bad[:16]),
+        n, R, d, checked, not bad or ok, labels[0] if bad else None, labels,
     )
 
 

@@ -216,6 +216,30 @@ class TestWField:
         ray = RayContext(W_("ababab"))
         assert op_W(ray, 2, 4).entries == op_W(B("(ab)"), 2, 4).entries
 
+    def test_index_reuses_the_checked_fold(self, monkeypatch):
+        # op_W then index_W on one boundary point folds b over the ball once;
+        # a point not seen last is folded again, and a bad fold still raises
+        from boundarylab import jv
+
+        folds = []
+        b_column = jv._b_column
+
+        def counted(x):
+            folds.append(x)
+            return b_column(x)
+
+        jv._last_shift.cache_clear()
+        monkeypatch.setattr(jv, "_b_column", counted)
+        a = B("(ab)")
+        op_W(a, 2, 4)
+        assert index_W(a, 2, 4) == 1
+        assert len(folds) == len(ball(2, 4))
+        op_W(B("(ba)"), 2, 4)
+        assert len(folds) == 2 * len(ball(2, 4))
+        monkeypatch.setattr(jv, "_b_column", lambda x: ())
+        with pytest.raises(AssertionError):
+            op_W(a, 2, 4)
+
     def test_short_prefix_rejected(self):
         with pytest.raises(DomainError):
             op_W(RayContext(W_("ab")), 2, 4)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +92,21 @@ class TestExactRank:
         assert exact_rank([{0: i, 1: one_}, {0: one_, 1: Scalar.of(0, -1)}]) == 1
         assert exact_rank([]) == 0
         assert exact_rank([{}]) == 0
+
+    def test_non_integral_elimination(self):
+        # eliminating with pivot 2 against 3 scales by 3/2, and a pivot
+        # 1+i divides by its norm 2, so the rows pass through fractions
+        S = Scalar.of
+        assert exact_rank([{0: S(2), 1: ONE}, {0: S(3), 1: ONE}]) == 2
+        assert exact_rank([{0: S(2), 1: ONE}, {0: S(3), 1: ONE}, {0: S(5), 1: S(2)}]) == 2
+        one_i = S(1, 1)
+        assert exact_rank([{0: one_i, 1: ONE}, {0: ONE, 1: S(2)}]) == 2
+        assert exact_rank([{0: one_i, 1: ONE}, {0: ONE, 1: S(Fraction(1, 2), Fraction(-1, 2))}]) == 1
+        assert exact_rank([
+            {0: one_i, 1: ONE, 2: S(0, 1)},
+            {0: ONE, 1: S(2)},
+            {0: S(2, 1), 1: S(3), 2: S(0, 1)},
+        ]) == 2
 
     def test_permutation_full_rank(self):
         L = op_inversion(2, 2)
