@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .config import DomainError, ResourceLimitError, check_radius
+from .config import DomainError, ResourceLimitError, check_depth, check_radius
 from .crossed import (
     PairElement,
     dual_coefficient,
@@ -422,6 +422,8 @@ def run_suite(
         raise DomainError(f"unknown suite: {suite}")
     if suite in ("jv", "all"):
         check_radius(cfg.radius + 1)  # the jv index sweep reads radius R + 1
+    if suite == "all":
+        check_depth(cfg.radius + 1)  # the flagship translates at labels of length R + 1
     start = time.monotonic()
     records: list[Record] = []
     if suite in ("algebra", "all"):

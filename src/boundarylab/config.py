@@ -2,7 +2,9 @@
 
 Every combinatorial enumeration in this package is exponential in its
 radius or depth parameter, so limits are hard errors rather than silent
-truncations.  `BDL_MAX_RADIUS` in the environment overrides the radius cap.
+truncations.  The radius cap is `DEFAULT_MAX_RADIUS`, which
+`BDL_MAX_RADIUS` in the environment overrides; the cylinder depth cap is
+`DEFAULT_MAX_DEPTH` and has no override.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ live; the inclusion into the two-leg algebra doubles the group leg.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .config import DomainError
@@ -303,8 +304,10 @@ def adjoin_unit(x: PairElement) -> Unitized:
 
 # -- the dual element and its identities ------------------------------
 
+@lru_cache(maxsize=None)
 def dual_coefficient(rank: int, gamma: ReducedWord) -> BiCylinderFunction:
-    """The off-diagonal coefficient chi_gamma (x) (1 - chi_gamma)."""
+    """The off-diagonal coefficient chi_gamma (x) (1 - chi_gamma), built
+    once per (rank, gamma)."""
     one = CylinderFunction.constant(rank, ONE)
     return tensor(chi(rank, gamma), one - chi(rank, gamma))
 
@@ -343,9 +346,9 @@ def _first_discrepancy_pair(x: PairElement, y: PairElement) -> str:
     if diff.is_zero():
         return ""
     g = min(diff.terms, key=ReducedWord.sort_key)
-    F = diff.terms[g]
-    key = min(F.table, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
-    return f"first discrepancy at u({g}), block ({key[0]}, {key[1]}): {F.table[key]}"
+    blocks = diff.terms[g].uniform_blocks()
+    key = min(blocks, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
+    return f"first discrepancy at u({g}), block ({key[0]}, {key[1]}): {blocks[key]}"
 
 
 def verify_v_identities(rank: int) -> list[CheckResult]:

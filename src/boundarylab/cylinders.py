@@ -10,9 +10,14 @@ constant on every cylinder of length d.  A product or a sum pairs the
 cells of its operands that are nested and splits a cell only where a
 cell of the other operand lies strictly below it, so its cost follows
 the cells that change rather than the sphere of the depth.  Reports
-render the uniform table at the depth, as `refine` does.  The
-two-variable version keeps a uniform table with an independent depth
-per slot.
+render the uniform table at the depth, as `refine` does.
+
+A two-variable function F = sum_u chi_u (x) g_u is the same partition of
+the first slot, with the nonzero one-variable function g_u of the second
+slot as the value of cell u, so one cell engine serves both types: the
+slices of nested cells are added and multiplied by the memoized
+one-variable operations.  Its depths are the longest cell and the
+deepest slice.
 
 The canonical extension of a cylinder function to group elements is zero
 on the ball below its depth; for two-variable functions the second-slot
@@ -71,8 +76,7 @@ class CylinderFunction:
     def __init__(self, rank: int, depth: int, table: Mapping[ReducedWord, Scalar]):
         """`table` maps disjoint cylinders of length at most `depth` to values."""
         check_depth(depth)
-        cells = {w: v for w, v in table.items() if v}
-        _merge_siblings(rank, cells)
+        cells = _canonical_cells(rank, table)
         self.rank = rank
         self.depth = max([len(w.letters) for w in cells], default=0)
         if self.depth > depth:
@@ -109,6 +113,9 @@ class CylinderFunction:
     def is_zero(self) -> bool:
         return not self.table
 
+    def __bool__(self) -> bool:
+        return bool(self.table)
+
     def refine(self, depth: int) -> "CylinderFunction":
         """The same function tabulated on every cylinder of length `depth`."""
         if depth < self.depth:
@@ -140,14 +147,10 @@ class CylinderFunction:
 
     def extend(self, x: ReducedWord) -> Scalar:
         """Canonical extension to the group: zero inside the ball B_{d-1}."""
-        xl = x.letters
-        if len(xl) < self.depth:
+        if len(x.letters) < self.depth:
             return ZERO
-        for w, v in self.table.items():
-            wl = w.letters
-            if xl[: len(wl)] == wl:
-                return v
-        return ZERO
+        v = _cell_at(self.table, x)
+        return ZERO if v is None else v
 
     # -- pointwise algebra -------------------------------------------
 
@@ -156,37 +159,6 @@ class CylinderFunction:
             raise DomainError("rank mismatch")
         a, b = (self, other) if self._hash <= other._hash else (other, self)
         return _cached_sum(a, b)
-
-    def _plain_add(self, other: "CylinderFunction") -> "CylinderFunction":
-        """Cells of both operands, with a cell split only where a cell of
-        the other operand lies strictly below it."""
-        out = dict(other.table)
-        split: dict[ReducedWord, tuple[Scalar, list[ReducedWord]]] = {}
-        for u, x in self.table.items():
-            ul = u.letters
-            k = len(ul)
-            inside = []
-            for v, y in other.table.items():
-                vl = v.letters
-                if len(vl) > k:
-                    if vl[:k] == ul:
-                        inside.append(v)
-                elif ul[: len(vl)] == vl:
-                    out[u] = y + x
-                    if len(vl) < k:
-                        split.setdefault(v, (y, []))[1].append(u)
-                    break
-            else:
-                if inside:
-                    for v in inside:
-                        out[v] = out[v] + x
-                    split[u] = (x, inside)
-                else:
-                    out[u] = x
-        for cell, (value, inside) in split.items():
-            out.pop(cell, None)
-            _fill_around(self.rank, cell, inside, value, out)
-        return CylinderFunction(self.rank, max(self.depth, other.depth), out)
 
     def __sub__(self, other: "CylinderFunction") -> "CylinderFunction":
         return self + (-other)
@@ -199,22 +171,6 @@ class CylinderFunction:
             raise DomainError("rank mismatch")
         a, b = (self, other) if self._hash <= other._hash else (other, self)
         return _cached_product(a, b)
-
-    def _plain_mul(self, other: "CylinderFunction") -> "CylinderFunction":
-        """The deeper cell of every nested pair of cells, one from each operand."""
-        out = {}
-        for u, x in self.table.items():
-            ul = u.letters
-            k = len(ul)
-            for v, y in other.table.items():
-                vl = v.letters
-                if len(vl) >= k:
-                    if vl[:k] == ul:
-                        out[v] = x * y
-                elif ul[: len(vl)] == vl:
-                    out[u] = x * y
-                    break
-        return CylinderFunction(self.rank, max(self.depth, other.depth), out)
 
     def scale(self, c: Scalar) -> "CylinderFunction":
         return CylinderFunction(self.rank, self.depth, {w: c * v for w, v in self.table.items()})
@@ -252,7 +208,23 @@ def _shortlex(table: Mapping[ReducedWord, Scalar]) -> list[tuple[ReducedWord, Sc
     return sorted(table.items(), key=lambda t: t[0].sort_key())
 
 
-def _merge_siblings(rank: int, cells: dict[ReducedWord, Scalar]) -> None:
+# -- the cell engine ---------------------------------------------------
+#
+# A table maps disjoint cylinders to nonzero values.  The values are
+# scalars for one-variable functions and second-slot functions for
+# two-variable ones; the engine only adds, multiplies and compares them.
+
+Cell = Scalar | CylinderFunction
+
+
+def _canonical_cells(rank: int, table: Mapping[ReducedWord, Cell]) -> dict[ReducedWord, Cell]:
+    """The coarsest partition of the support of a disjoint table."""
+    cells = {w: v for w, v in table.items() if v}
+    _merge_siblings(rank, cells)
+    return cells
+
+
+def _merge_siblings(rank: int, cells: dict[ReducedWord, Cell]) -> None:
     """Replace every full sibling group with one value by its parent,
     deepest cells first, so that merged parents can merge again."""
     if len(cells) < 2 * rank - 1:
@@ -281,8 +253,8 @@ def _fill_around(
     rank: int,
     cell: ReducedWord,
     inside: list[ReducedWord],
-    value: Scalar,
-    out: dict[ReducedWord, Scalar],
+    value: Cell,
+    out: dict[ReducedWord, Cell],
 ) -> None:
     """Give `value` to the cells that partition the cylinder at `cell`
     outside the disjoint cylinders `inside`, all strictly below it."""
@@ -295,14 +267,77 @@ def _fill_around(
                 out[ReducedWord(p + step)] = value
 
 
+def _plain_add(
+    rank: int, a: Mapping[ReducedWord, Cell], b: Mapping[ReducedWord, Cell]
+) -> dict[ReducedWord, Cell]:
+    """Cells of both tables, with a cell split only where a cell of the
+    other table lies strictly below it."""
+    out = dict(b)
+    split: dict[ReducedWord, tuple[Cell, list[ReducedWord]]] = {}
+    for u, x in a.items():
+        ul = u.letters
+        k = len(ul)
+        inside = []
+        for v, y in b.items():
+            vl = v.letters
+            if len(vl) > k:
+                if vl[:k] == ul:
+                    inside.append(v)
+            elif ul[: len(vl)] == vl:
+                out[u] = y + x
+                if len(vl) < k:
+                    split.setdefault(v, (y, []))[1].append(u)
+                break
+        else:
+            if inside:
+                for v in inside:
+                    out[v] = out[v] + x
+                split[u] = (x, inside)
+            else:
+                out[u] = x
+    for cell, (value, inside) in split.items():
+        out.pop(cell, None)
+        _fill_around(rank, cell, inside, value, out)
+    return out
+
+
+def _plain_mul(
+    a: Mapping[ReducedWord, Cell], b: Mapping[ReducedWord, Cell]
+) -> dict[ReducedWord, Cell]:
+    """The deeper cell of every nested pair of cells, one from each table."""
+    out = {}
+    for u, x in a.items():
+        ul = u.letters
+        k = len(ul)
+        for v, y in b.items():
+            vl = v.letters
+            if len(vl) >= k:
+                if vl[:k] == ul:
+                    out[v] = x * y
+            elif ul[: len(vl)] == vl:
+                out[u] = x * y
+                break
+    return out
+
+
+def _cell_at(table: Mapping[ReducedWord, Cell], x: ReducedWord) -> Cell | None:
+    """The value of the cell containing the words that begin with x."""
+    xl = x.letters
+    for w, v in table.items():
+        wl = w.letters
+        if xl[: len(wl)] == wl:
+            return v
+    return None
+
+
 @lru_cache(maxsize=None)
 def _cached_sum(f: CylinderFunction, g: CylinderFunction) -> CylinderFunction:
-    return f._plain_add(g)
+    return CylinderFunction(f.rank, max(f.depth, g.depth), _plain_add(f.rank, f.table, g.table))
 
 
 @lru_cache(maxsize=None)
 def _cached_product(f: CylinderFunction, g: CylinderFunction) -> CylinderFunction:
-    return f._plain_mul(g)
+    return CylinderFunction(f.rank, max(f.depth, g.depth), _plain_mul(f.table, g.table))
 
 
 def chi(rank: int, gamma: ReducedWord) -> CylinderFunction:
@@ -353,38 +388,25 @@ def translate(gamma: ReducedWord, f: CylinderFunction) -> CylinderFunction:
 
 
 class BiCylinderFunction:
-    """An exact locally constant function on boundary x boundary."""
+    """An exact locally constant function on boundary x boundary, stored
+    as the coarsest partition of the first slot into cylinders, each cell
+    u with its nonzero second-slot function g_u: F = sum_u chi_u (x) g_u."""
 
     __slots__ = ("rank", "depth1", "depth2", "table", "_hash")
 
-    def __init__(
-        self,
-        rank: int,
-        depth1: int,
-        depth2: int,
-        table: Mapping[tuple[ReducedWord, ReducedWord], Scalar],
-    ):
+    def __init__(self, rank: int, depth1: int, depth2: int, table: Mapping[ReducedWord, CylinderFunction]):
+        """`table` maps disjoint first-slot cylinders of length at most
+        `depth1` to second-slot functions of depth at most `depth2`."""
         check_depth(depth1)
         check_depth(depth2)
-        tbl = {k: v for k, v in table.items() if v}
-        changed = True
-        while changed:
-            changed = False
-            if depth1 > 0:
-                merged = _merge_slot(rank, tbl, slot=0)
-                if merged is not None:
-                    tbl, depth1 = merged, depth1 - 1
-                    changed = True
-            if depth2 > 0:
-                merged = _merge_slot(rank, tbl, slot=1)
-                if merged is not None:
-                    tbl, depth2 = merged, depth2 - 1
-                    changed = True
+        cells = _canonical_cells(rank, table)
         self.rank = rank
-        self.depth1 = depth1
-        self.depth2 = depth2
-        self.table = tbl
-        self._hash = hash((rank, depth1, depth2, frozenset(tbl.items())))
+        self.depth1 = max([len(u.letters) for u in cells], default=0)
+        self.depth2 = max([g.depth for g in cells.values()], default=0)
+        if self.depth1 > depth1 or self.depth2 > depth2:
+            raise DomainError(f"cells of depths ({self.depth1},{self.depth2}) above ({depth1},{depth2})")
+        self.table = cells
+        self._hash = hash((rank, frozenset(cells.items())))
 
     @staticmethod
     def zero(rank: int) -> "BiCylinderFunction":
@@ -393,7 +415,7 @@ class BiCylinderFunction:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BiCylinderFunction)
-            and (self.rank, self.depth1, self.depth2) == (other.rank, other.depth1, other.depth2)
+            and self.rank == other.rank
             and self.table == other.table
         )
 
@@ -403,148 +425,105 @@ class BiCylinderFunction:
     def is_zero(self) -> bool:
         return not self.table
 
-    def _refined(self, d1: int, d2: int) -> "BiCylinderFunction":
-        if (d1, d2) == (self.depth1, self.depth2):
-            return self
-        tbl = {}
-        for (u, v), c in self.table.items():
-            for ue in word_extensions(u, d1 - self.depth1, self.rank):
-                for ve in word_extensions(v, d2 - self.depth2, self.rank):
-                    tbl[(ue, ve)] = c
-        out = BiCylinderFunction.__new__(BiCylinderFunction)
-        out.rank, out.depth1, out.depth2, out.table = self.rank, d1, d2, tbl
-        out._hash = None
-        return out
+    def _map(self, op) -> "BiCylinderFunction":
+        cells = {u: op(g) for u, g in self.table.items()}
+        return BiCylinderFunction(self.rank, self.depth1, self.depth2, cells)
 
-    def _common(self, other: "BiCylinderFunction"):
+    def _combine(self, other: "BiCylinderFunction", cells) -> "BiCylinderFunction":
+        """The sum or product of two functions of one rank, from its cells."""
         if self.rank != other.rank:
             raise DomainError("rank mismatch")
-        d1 = max(self.depth1, other.depth1)
-        d2 = max(self.depth2, other.depth2)
-        return self._refined(d1, d2), other._refined(d1, d2)
+        d1, d2 = max(self.depth1, other.depth1), max(self.depth2, other.depth2)
+        return BiCylinderFunction(self.rank, d1, d2, cells)
 
     def __add__(self, other: "BiCylinderFunction") -> "BiCylinderFunction":
-        f, g = self._common(other)
-        tbl = dict(f.table)
-        for k, v in g.table.items():
-            tbl[k] = tbl.get(k, ZERO) + v
-        return BiCylinderFunction(self.rank, f.depth1, f.depth2, tbl)
+        return self._combine(other, _plain_add(self.rank, self.table, other.table))
 
     def __sub__(self, other: "BiCylinderFunction") -> "BiCylinderFunction":
         return self + (-other)
 
     def __neg__(self) -> "BiCylinderFunction":
-        return BiCylinderFunction(
-            self.rank, self.depth1, self.depth2, {k: -v for k, v in self.table.items()}
-        )
+        return self._map(lambda g: -g)
 
     def __mul__(self, other: "BiCylinderFunction") -> "BiCylinderFunction":
-        f, g = self._common(other)
-        small, big = (f, g) if len(f.table) <= len(g.table) else (g, f)
-        tbl = {}
-        for k, v in small.table.items():
-            u = big.table.get(k)
-            if u is not None:
-                tbl[k] = v * u
-        return BiCylinderFunction(self.rank, f.depth1, f.depth2, tbl)
+        return self._combine(other, _plain_mul(self.table, other.table))
 
     def star(self) -> "BiCylinderFunction":
-        return BiCylinderFunction(
-            self.rank, self.depth1, self.depth2, {k: v.conj() for k, v in self.table.items()}
-        )
+        return self._map(lambda g: g.star())
 
     def scale(self, c: Scalar) -> "BiCylinderFunction":
-        return BiCylinderFunction(
-            self.rank, self.depth1, self.depth2, {k: c * v for k, v in self.table.items()}
-        )
+        return self._map(lambda g: g.scale(c))
 
     def flip(self) -> "BiCylinderFunction":
-        """(a, b) -> value at (b, a)."""
-        return BiCylinderFunction(
-            self.rank, self.depth2, self.depth1, {(v, u): c for (u, v), c in self.table.items()}
-        )
+        """(a, b) -> value at (b, a): the sum over cells u and the cells v
+        of g_u of the value at v times chi_v (x) chi_u."""
+        n = self.rank
+        total = BiCylinderFunction.zero(n)
+        for u, g in self.table.items():
+            total = total + BiCylinderFunction(
+                n, g.depth, len(u), {v: CylinderFunction(n, len(u), {u: c}) for v, c in g.table.items()}
+            )
+        return total
 
     def at_boundary(self, a: BoundaryPoint, b: BoundaryPoint) -> Scalar:
-        return self.table.get((a.prefix(self.depth1), b.prefix(self.depth2)), ZERO)
+        g = _cell_at(self.table, a.prefix(self.depth1))
+        return ZERO if g is None else g.at_boundary(b)
 
     def second_slice(self, v0: ReducedWord) -> CylinderFunction:
         """The first-slot cylinder function a -> F(a, C_v0), |v0| = depth2."""
-        tbl = {u: c for (u, v), c in self.table.items() if v == v0}
-        return CylinderFunction(self.rank, self.depth1, tbl)
+        return CylinderFunction(self.rank, self.depth1, {u: g.extend(v0) for u, g in self.table.items()})
 
     def vanishes_on_diagonal(self) -> bool:
         """True iff the function is supported away from the diagonal.
 
-        A nonzero block (u, v) meets the diagonal neighborhood exactly
-        when one of u, v is an initial subword of the other.
+        The cell u (x) v of a slice meets the diagonal exactly when one of
+        u, v is an initial subword of the other.
         """
-        for (u, v), c in self.table.items():
-            if is_initial(u, v) or is_initial(v, u):
-                return False
+        for u, g in self.table.items():
+            for v in g.table:
+                if is_initial(u, v) or is_initial(v, u):
+                    return False
         return True
 
+    def uniform_blocks(self) -> dict[tuple[ReducedWord, ReducedWord], Scalar]:
+        """The nonzero values on the blocks of lengths (depth1, depth2)."""
+        out = {}
+        for u, g in self.table.items():
+            column = g._uniform(self.depth2)
+            for ue in word_extensions(u, self.depth1 - len(u.letters), self.rank):
+                for v, c in column.items():
+                    out[(ue, v)] = c
+        return out
+
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"({u},{v}):{c}"
-            for (u, v), c in sorted(self.table.items(), key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))
-        )
+        blocks = sorted(self.uniform_blocks().items(), key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))
+        body = ", ".join(f"({u},{v}):{c}" for (u, v), c in blocks)
         return f"BiCyl(n={self.rank}, d=({self.depth1},{self.depth2}), {{{body}}})"
 
 
 def tensor(f: CylinderFunction, g: CylinderFunction) -> BiCylinderFunction:
     if f.rank != g.rank:
         raise DomainError("rank mismatch")
-    tbl = {}
-    g_cells = g._uniform(g.depth)
-    for u, c in f._uniform(f.depth).items():
-        for v, d in g_cells.items():
-            tbl[(u, v)] = c * d
-    return BiCylinderFunction(f.rank, f.depth, g.depth, tbl)
-
-
-def _merge_slot(rank, tbl, slot):
-    """One canonicalization step in the given slot, or None if not constant."""
-    groups: dict[tuple, list[Scalar]] = {}
-    for (u, v), c in tbl.items():
-        w = (u, v)[slot]
-        if len(w) == 0:
-            return None
-        key = (w.parent(), (u, v)[1 - slot])
-        groups.setdefault(key, []).append(c)
-    for (p, _), vals in groups.items():
-        nchildren = 2 * rank if p == IDENTITY else 2 * rank - 1
-        if len(vals) != nchildren or any(v != vals[0] for v in vals):
-            return None
-    if slot == 0:
-        return {(p, o): vals[0] for (p, o), vals in groups.items()}
-    return {(o, p): vals[0] for (p, o), vals in groups.items()}
+    return BiCylinderFunction(f.rank, f.depth, g.depth, {u: g.scale(c) for u, c in f.table.items()})
 
 
 @lru_cache(maxsize=None)
 def translate_legs(
     F: BiCylinderFunction, gamma: ReducedWord, delta: ReducedWord
 ) -> BiCylinderFunction:
-    """Translate the first slot by gamma and the second by delta."""
+    """Translate the first slot by gamma and the second by delta.  The
+    image of a cell is a union of cells of value 1, and images of disjoint
+    cells are disjoint, so each image cell carries the translated slice
+    of the cell it came from."""
     if gamma == IDENTITY and delta == IDENTITY:
         return F
     n = F.rank
-    d1 = F.depth1 + len(gamma)
-    d2 = F.depth2 + len(delta)
-    tbl: dict[tuple[ReducedWord, ReducedWord], Scalar] = {}
-    for (u, v), c in F.table.items():
-        fu = translate(gamma, CylinderFunction.indicator(n, u)) if len(u) else CylinderFunction.constant(n, ONE)
-        fv = translate(delta, CylinderFunction.indicator(n, v)) if len(v) else CylinderFunction.constant(n, ONE)
-        fu = fu._uniform(d1)
-        fv = fv._uniform(d2)
-        for ue, cu in fu.items():
-            for ve, cv in fv.items():
-                k = (ue, ve)
-                val = tbl.get(k, ZERO) + c * cu * cv
-                if val:
-                    tbl[k] = val
-                elif k in tbl:
-                    del tbl[k]
-    return BiCylinderFunction(n, d1, d2, tbl)
+    tbl: dict[ReducedWord, CylinderFunction] = {}
+    for u, g in F.table.items():
+        tg = translate(delta, g)
+        for w in _translate_indicator(gamma, u, n).table:
+            tbl[w] = tg
+    return BiCylinderFunction(n, F.depth1 + len(gamma), F.depth2 + len(delta), tbl)
 
 
 def translate_diag(gamma: ReducedWord, F: BiCylinderFunction) -> BiCylinderFunction:

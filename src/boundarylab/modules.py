@@ -457,7 +457,10 @@ def final_identity_check(
 ) -> EqualityCertificate:
     """The flagship comparison: the lift assembled from the dual element
     must coincide with the fiberwise tree shift on the full spanning set.
+    Both sides translate cylinder functions by labels of length R + 1, so
+    that depth is checked against the cap before any map is built.
     """
+    check_depth(R + 1)
     Fb = build_Fbar(n, drop=drop, perturb=perturb)
     Wb = build_Wbar(n, R + 1)
     return maps_agree(Fb, Wb, n, R, d, "assembled lift equals fiberwise shift")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from boundarylab import cli, operators
+from boundarylab import cli, crossed, modules, operators
 from boundarylab.cli import (
     SuiteConfig,
     _parse_mutation,
@@ -41,6 +41,20 @@ class TestRunSuite:
         report = run_suite(SuiteConfig(), "untwist")
         ids = [r.check_id for r in report.records]
         assert ids == sorted(ids)
+
+    def test_dual_coefficients_built_once(self, monkeypatch):
+        # v, chi and every geodesic check read the same 2n coefficients
+        calls = []
+        tensor = crossed.tensor
+
+        def counted(f, g):
+            calls.append((f, g))
+            return tensor(f, g)
+
+        monkeypatch.setattr(crossed, "tensor", counted)
+        crossed.dual_coefficient.cache_clear()
+        cli._algebra_records(SuiteConfig(rank=4))
+        assert 0 < len(calls) <= 2 * 4
 
     def test_mutated_suite_fails(self):
         from boundarylab.words import ReducedWord
@@ -206,3 +220,20 @@ class TestLimitsBeforeWork:
         monkeypatch.setattr(cli, "_algebra_records", algebra_records)
         assert main(["verify", "--suite", "all", "--radius", "12"]) == 2
         assert "radius 13" in capsys.readouterr().err
+
+    def test_final_identity_depth_past_cap(self, monkeypatch, capsys):
+        # the flagship translates at labels of length R + 1: depth 9 at R 8
+        def maps_agree(*args):
+            raise AssertionError("flagship maps compared before the depth check")
+
+        monkeypatch.setattr(modules, "maps_agree", maps_agree)
+        assert main(["final-identity", "--rank", "2", "--radius", "8"]) == 2
+        assert "cylinder depth 9 exceeds the configured bound 8" in capsys.readouterr().err
+
+    def test_verify_all_depth_past_cap(self, monkeypatch, capsys):
+        def algebra_records(cfg):
+            raise AssertionError("algebra suite ran before the depth check")
+
+        monkeypatch.setattr(cli, "_algebra_records", algebra_records)
+        assert main(["verify", "--suite", "all", "--radius", "8"]) == 2
+        assert "cylinder depth 9" in capsys.readouterr().err

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarylab.config import DomainError
+from boundarylab.crossed import PairElement, _first_discrepancy_pair
 from boundarylab.cylinders import (
+    BiCylinderFunction,
     CylinderFunction,
     chi,
     chi_tilde,
@@ -15,6 +17,7 @@ from boundarylab.cylinders import (
     tensor,
     translate,
     translate_diag,
+    translate_legs,
     word_extensions,
 )
 from boundarylab.scalars import MINUS_ONE, ONE, ZERO, Scalar
@@ -24,6 +27,8 @@ from boundarylab.words import (
     ReducedWord,
     act,
     ball,
+    generators,
+    is_initial,
     multiply,
     sphere,
 )
@@ -406,18 +411,18 @@ def ref_json(f):
 VALUES = [ZERO, ONE, ONE, MINUS_ONE, Scalar.of(2), Scalar.of(0, 1)]
 
 
-def random_cells(rng, n, depth):
+def random_cells(rng, n, depth, values=VALUES):
     """A random disjoint table with cells of length at most `depth`; some
     splits give every child the same value, so that they merge back."""
     cells = {}
 
     def visit(w, forced):
         if len(w) < depth and rng.random() < 0.4:
-            same = rng.choice(VALUES) if rng.random() < 0.25 else forced
+            same = rng.choice(values) if rng.random() < 0.25 else forced
             for child in word_extensions(w, 1, n):
                 visit(child, same)
         else:
-            cells[w] = forced if forced is not None else rng.choice(VALUES)
+            cells[w] = forced if forced is not None else rng.choice(values)
 
     visit(IDENTITY, None)
     return cells
@@ -462,3 +467,238 @@ def test_cells_match_uniform_reference(n, d1, d2, seed, gamma):
     assert agrees_with_reference(n, translate(gamma, f), ref_translate(n, gamma, rf))
     for x in ball(n, 5):
         assert f.extend(x) == ref_extend(rf, x)
+
+
+# -- cross-check of two-variable functions against uniform block tables --
+#
+# Before two-variable functions were stored as first-slot cell partitions,
+# a function was a table over the blocks (u, v) of one pair of depths,
+# canonicalized by merging whole levels of either slot.  That
+# representation lives on here as the reference.
+
+
+def ref_merge_slot(n, tbl, slot):
+    """One canonicalization step in the given slot, or None if not constant."""
+    groups = {}
+    for (u, v), c in tbl.items():
+        w = (u, v)[slot]
+        if len(w) == 0:
+            return None
+        groups.setdefault((w.parent(), (u, v)[1 - slot]), []).append(c)
+    for (p, _), vals in groups.items():
+        if len(vals) != (2 * n if p == IDENTITY else 2 * n - 1) or any(v != vals[0] for v in vals):
+            return None
+    if slot == 0:
+        return {(p, o): vals[0] for (p, o), vals in groups.items()}
+    return {(o, p): vals[0] for (p, o), vals in groups.items()}
+
+
+class RefBi:
+    """A two-variable function as its uniform block table at the least depths."""
+
+    def __init__(self, n, d1, d2, table):
+        tbl = {k: v for k, v in table.items() if v}
+        changed = True
+        while changed:
+            changed = False
+            if d1 > 0:
+                merged = ref_merge_slot(n, tbl, 0)
+                if merged is not None:
+                    tbl, d1, changed = merged, d1 - 1, True
+            if d2 > 0:
+                merged = ref_merge_slot(n, tbl, 1)
+                if merged is not None:
+                    tbl, d2, changed = merged, d2 - 1, True
+        self.n, self.d1, self.d2, self.table = n, d1, d2, tbl
+
+    def refined(self, d1, d2):
+        return {
+            (ue, ve): c
+            for (u, v), c in self.table.items()
+            for ue in word_extensions(u, d1 - self.d1, self.n)
+            for ve in word_extensions(v, d2 - self.d2, self.n)
+        }
+
+    def _pointwise(self, other, op):
+        d1, d2 = max(self.d1, other.d1), max(self.d2, other.d2)
+        f, g = self.refined(d1, d2), other.refined(d1, d2)
+        return RefBi(self.n, d1, d2, {k: op(f.get(k, ZERO), g.get(k, ZERO)) for k in f.keys() | g.keys()})
+
+    def __add__(self, other):
+        return self._pointwise(other, lambda x, y: x + y)
+
+    def __sub__(self, other):
+        return self._pointwise(other, lambda x, y: x - y)
+
+    def __mul__(self, other):
+        return self._pointwise(other, lambda x, y: x * y)
+
+    def map(self, op):
+        return RefBi(self.n, self.d1, self.d2, {k: op(c) for k, c in self.table.items()})
+
+    def flip(self):
+        return RefBi(self.n, self.d2, self.d1, {(v, u): c for (u, v), c in self.table.items()})
+
+    def at_boundary(self, a, b):
+        return self.table.get((a.prefix(self.d1), b.prefix(self.d2)), ZERO)
+
+    def second_slice(self, v0):
+        return CylinderFunction(self.n, self.d1, {u: c for (u, v), c in self.table.items() if v == v0})
+
+    def vanishes_on_diagonal(self):
+        return not any(is_initial(u, v) or is_initial(v, u) for u, v in self.table)
+
+    def translate_legs(self, gamma, delta):
+        # |u| = d1 + |gamma| leaves at least d1 letters of gamma^-1 u uncancelled
+        d1, d2 = self.d1 + len(gamma), self.d2 + len(delta)
+        g_inv, d_inv = gamma.inverse(), delta.inverse()
+        return RefBi(self.n, d1, d2, {
+            (u, v): self.table.get(
+                (multiply(g_inv, u).prefix(self.d1), multiply(d_inv, v).prefix(self.d2)), ZERO
+            )
+            for u in sphere(self.n, d1)
+            for v in sphere(self.n, d2)
+        })
+
+    def first_block(self):
+        key = min(self.table, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
+        return f"block ({key[0]}, {key[1]}): {self.table[key]}"
+
+    def __repr__(self):
+        body = ", ".join(
+            f"({u},{v}):{c}"
+            for (u, v), c in sorted(self.table.items(), key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))
+        )
+        return f"BiCyl(n={self.n}, d=({self.d1},{self.d2}), {{{body}}})"
+
+
+def from_blocks(n, d1, d2, blocks):
+    """The cell form of a uniform block table, one first-slot cell per row."""
+    rows = {}
+    for (u, v), c in blocks.items():
+        rows.setdefault(u, {})[v] = c
+    return BiCylinderFunction(n, d1, d2, {u: CylinderFunction(n, d2, row) for u, row in rows.items()})
+
+
+def random_blocks(rng, n, d1, d2):
+    """A random uniform block table at (d1, d2) whose rows come from a
+    small pool of second-slot functions, so that equal rows merge."""
+    pool = [tabulate(n, random_cells(rng, n, d2), d2) for _ in range(3)] + [{}]
+    rows = tabulate(n, random_cells(rng, n, d1, values=range(len(pool))), d1)
+    return {(u, v): c for u, k in rows.items() for v, c in pool[k].items() if c}
+
+
+def bi_agrees(n, F, ref):
+    return (
+        (F.depth1, F.depth2) == (ref.d1, ref.d2)
+        and F.uniform_blocks() == ref.table
+        and repr(F) == repr(ref)
+        and F == from_blocks(n, ref.d1, ref.d2, ref.table)
+    )
+
+
+def off_diagonal(n):
+    """The indicator of the pairs whose first letters differ."""
+    return tensor(const1(n), const1(n)) - sum(
+        (tensor(chi(n, g), chi(n, g)) for g in generators(n)), BiCylinderFunction.zero(n)
+    )
+
+
+POINTS = {
+    2: ["(a)", "(ab)", "(ba)", "b(a)", "A(b)", "(aB)", "(Ab)", "ab(b)", "BA(b)", "(B)"],
+    3: ["(a)", "(c)", "c(a)", "ac(B)", "(Cb)", "Ca(c)", "(ab)", "B(C)", "AcB(a)", "(bC)"],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+)
+def test_bi_cells_match_uniform_reference(n, d1, d2, e1, e2, seed):
+    rng = random.Random(seed)
+    fb, gb = random_blocks(rng, n, d1, d2), random_blocks(rng, n, e1, e2)
+    F, G = from_blocks(n, d1, d2, fb), from_blocks(n, e1, e2, gb)
+    rF, rG = RefBi(n, d1, d2, fb), RefBi(n, e1, e2, gb)
+    c = rng.choice(VALUES[1:])
+    assert bi_agrees(n, F, rF)
+    assert bi_agrees(n, G, rG)
+    assert bi_agrees(n, F + G, rF + rG)
+    assert bi_agrees(n, F - G, rF - rG)
+    assert bi_agrees(n, F * G, rF * rG)
+    assert bi_agrees(n, -F, rF.map(lambda x: -x))
+    assert bi_agrees(n, F.scale(c), rF.map(lambda x: c * x))
+    assert bi_agrees(n, F.star(), rF.map(Scalar.conj))
+    assert bi_agrees(n, F.flip(), rF.flip())
+    assert F.vanishes_on_diagonal() == rF.vanishes_on_diagonal()
+    for v0 in sphere(n, F.depth2):
+        assert F.second_slice(v0) == rF.second_slice(v0)
+    for a in map(B, POINTS[n]):
+        for b in map(B, POINTS[n]):
+            assert F.at_boundary(a, b) == rF.at_boundary(a, b)
+    # discrepancy text of two off-diagonal coefficients at u(a)
+    mask = off_diagonal(n)
+    rmask = RefBi(n, mask.depth1, mask.depth2, mask.uniform_blocks())
+    x, y = PairElement(n, {W("a"): F * mask}), PairElement(n, {W("a"): G * mask})
+    rdiff = rF * rmask - rG * rmask
+    expected = f"first discrepancy at u(a), {rdiff.first_block()}" if rdiff.table else ""
+    assert _first_discrepancy_pair(x, y) == expected
+
+
+def sphere_size(n, d):
+    return 1 if d == 0 else 2 * n * (2 * n - 1) ** (d - 1)
+
+
+SHORT_WORDS = ["1", "a", "B", "ab", "Ba", "bb"]
+
+# The reference tabulates a translate over every block of the translated
+# depths, so scopes stay within 25,000 blocks.
+TRANSLATE_SCOPES = [
+    (n, d1, d2, gamma, delta)
+    for n in (2, 3)
+    for d1 in range(4)
+    for d2 in range(4)
+    for gamma in SHORT_WORDS
+    for delta in SHORT_WORDS
+    if sphere_size(n, d1 + len(W(gamma))) * sphere_size(n, d2 + len(W(delta))) <= 25_000
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TRANSLATE_SCOPES), st.integers(0, 2**32))
+def test_bi_translate_legs_matches_uniform_reference(scope, seed):
+    n, d1, d2, gamma, delta = scope
+    gamma, delta = W(gamma), W(delta)
+    blocks = random_blocks(random.Random(seed), n, d1, d2)
+    F, ref = from_blocks(n, d1, d2, blocks), RefBi(n, d1, d2, blocks)
+    assert bi_agrees(n, translate_legs(F, gamma, delta), ref.translate_legs(gamma, delta))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**32))
+def test_bi_constructors_agree(n, d1, d2, seed):
+    rng = random.Random(seed)
+    f = CylinderFunction(n, d1, random_cells(rng, n, d1))
+    g = CylinderFunction(n, d2, random_cells(rng, n, d2))
+    T = tensor(f, g)
+    blocks = {
+        (u, v): a * b for u, a in f.refine(d1).table.items() for v, b in g.refine(d2).table.items()
+    }
+    block_sum = sum(
+        (
+            tensor(CylinderFunction.indicator(n, u), CylinderFunction.indicator(n, v).scale(c))
+            for (u, v), c in blocks.items()
+        ),
+        BiCylinderFunction.zero(n),
+    )
+    # every cell split into its children, which merge back
+    split = BiCylinderFunction(
+        n, T.depth1 + 1, T.depth2,
+        {w: h for u, h in T.table.items() for w in word_extensions(u, 1, n)},
+    )
+    for other in (block_sum, from_blocks(n, d1, d2, blocks), T.flip().flip(), split):
+        assert other == T and hash(other) == hash(T)

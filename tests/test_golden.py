@@ -1,14 +1,17 @@
 """Byte-for-byte comparison of `verify` reports with golden copies: the
 `all` suite at the default scope, under each flagship mutation and at
-rank 3, and the `jv` suite at rank 3 and at radius 6.
+rank 3, the `jv` suite at rank 3 and at radius 6, and the `algebra` suite
+at rank 5 and 6.
 
 The rank-2 `all` golden files were written by `boundarylab verify --suite
 all --json` before module maps became kernel data, the `jv` ones by
 `boundarylab verify --suite jv --rank 3 --json` and `--radius 6 --json`
 before the tree-cycle certificates were restricted to the columns they
 read, and the rank-3 `all` one by `boundarylab verify --suite all --rank 3
---json` before cylinder functions became cell partitions; a deliberate
-change to a report regenerates them with the same commands.
+--json` before cylinder functions became cell partitions, and the rank-5
+and rank-6 `algebra` ones by `boundarylab verify --suite algebra --rank N
+--json` before two-variable functions became cell partitions; a
+deliberate change to a report regenerates them with the same commands.
 """
 
 from pathlib import Path
@@ -61,3 +64,10 @@ def test_rank3_report_matches_golden(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", "--rank", "3", "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "verify-all-rank3.json").read_bytes()
+
+
+@pytest.mark.parametrize("rank", [5, 6])
+def test_algebra_report_matches_golden(rank, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "algebra", "--rank", str(rank), "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"verify-algebra-rank{rank}.json").read_bytes()
