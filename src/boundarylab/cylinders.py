@@ -347,11 +347,6 @@ def chi(rank: int, gamma: ReducedWord) -> CylinderFunction:
     return CylinderFunction.indicator(rank, gamma)
 
 
-def chi_tilde(gamma: ReducedWord, x: ReducedWord) -> Scalar:
-    """Indicator, on the group, of the words beginning with gamma."""
-    return ONE if is_initial(gamma, x) else ZERO
-
-
 @lru_cache(maxsize=None)
 def _translate_indicator(gamma: ReducedWord, w: ReducedWord, n: int) -> CylinderFunction:
     """Image of the cylinder at w under the shift by gamma, as a function.

@@ -86,10 +86,6 @@ class ModuleVector:
     def scale(self, c: Scalar) -> "ModuleVector":
         return ModuleVector(self.rank, {g: x.scale(c) for g, x in self.entries.items()})
 
-    def act(self, a: CrossedElement) -> "ModuleVector":
-        """Right action, applied coefficientwise."""
-        return ModuleVector(self.rank, {g: x * a for g, x in self.entries.items()})
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -142,10 +138,6 @@ class ModuleMap:
                         yield h2, c2 * c1, f, multiply(g2, g1)
 
         return ModuleMap(f"({self.name} . {other.name})", column)
-
-    @staticmethod
-    def identity() -> "ModuleMap":
-        return ModuleMap("1", lambda g: [(g, ONE, None, IDENTITY)])
 
 
 def op_phi_function(f: CylinderFunction) -> ModuleMap:

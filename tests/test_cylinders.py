@@ -10,7 +10,6 @@ from boundarylab.cylinders import (
     BiCylinderFunction,
     CylinderFunction,
     chi,
-    chi_tilde,
     extend_second,
     f_prime_value,
     parse_cylinder,
@@ -35,6 +34,12 @@ from boundarylab.words import (
 
 W = ReducedWord.parse
 B = BoundaryPoint.parse
+
+
+def chi_tilde(gamma: ReducedWord, x: ReducedWord) -> Scalar:
+    """Indicator, on the group, of the words beginning with gamma: the
+    reference for CylinderFunction.extend."""
+    return ONE if is_initial(gamma, x) else ZERO
 
 
 def const1(n=2):

@@ -33,6 +33,12 @@ from boundarylab.scalars import ONE, Scalar
 from boundarylab.words import IDENTITY, ReducedWord, ball, generators, sphere
 
 W = ReducedWord.parse
+IDENTITY_MAP = ModuleMap("1", lambda g: [(g, ONE, None, IDENTITY)])
+
+
+def act(xi: ModuleVector, a: CrossedElement) -> ModuleVector:
+    """The right action of the algebra, applied coefficientwise."""
+    return ModuleVector(xi.rank, {g: x * a for g, x in xi.entries.items()})
 
 
 def one(n=2):
@@ -62,13 +68,13 @@ class TestModuleVector:
         a = CrossedElement.monomial(chi(2, W("a")), W("b"))
         xi = unit_at(W("a")) + unit_at(W("b"))
         eta = unit_at(W("a"))
-        assert inner_product(xi, eta.act(a)) == inner_product(xi, eta) * a
+        assert inner_product(xi, act(eta, a)) == inner_product(xi, eta) * a
 
     def test_adjoint_side_of_action(self):
         a = CrossedElement.monomial(chi(2, W("a")), W("b"))
         xi = unit_at(W("a"))
         eta = unit_at(W("a")) + unit_at(W("ab"))
-        assert inner_product(xi.act(a), eta) == a.star() * inner_product(xi, eta)
+        assert inner_product(act(xi, a), eta) == a.star() * inner_product(xi, eta)
 
     def test_zero_entries_dropped(self):
         v = ModuleVector(2, {IDENTITY: CrossedElement.zero(2)})
@@ -106,7 +112,7 @@ class TestPhi:
         a = CrossedElement.monomial(chi(2, W("a")), W("b"))
         x = CrossedElement.monomial(chi(2, W("b")), W("a"))
         for _, xi in itertools.islice(spanning_vectors(2, 2, 1), 0, None, 5):
-            assert op_phi(x)(xi.act(a)) == op_phi(x)(xi).act(a)
+            assert op_phi(x)(act(xi, a)) == act(op_phi(x)(xi), a)
 
 
 class TestTau:
@@ -116,7 +122,7 @@ class TestTau:
 
     def test_tau_gamma_inverse(self):
         T = op_tau_gamma(W("ab")) @ op_tau_gamma(W("BA"))
-        assert maps_agree(T, ModuleMap.identity(), 2, 2, 1).equal
+        assert maps_agree(T, IDENTITY_MAP, 2, 2, 1).equal
 
     def test_tau_F_at_origin(self):
         out = op_tau_F(F_a(), inner_a())(unit_at(IDENTITY))
@@ -136,7 +142,7 @@ class TestTau:
         a = CrossedElement.monomial(chi(2, W("a")), W("b"))
         T = op_tau_F(F_a(), inner_a()) @ op_tau_gamma(W("a"))
         for _, xi in itertools.islice(spanning_vectors(2, 2, 1), 0, None, 3):
-            assert T(xi.act(a)) == T(xi).act(a)
+            assert T(act(xi, a)) == act(T(xi), a)
 
 
 class TestUntwist:
@@ -156,7 +162,7 @@ class TestUntwist:
 
     def test_u_star_inverts(self):
         T = untwist_U() @ untwist_U_star()
-        assert maps_agree(T, ModuleMap.identity(), 2, 2, 1).equal
+        assert maps_agree(T, IDENTITY_MAP, 2, 2, 1).equal
 
     def test_conjugated_label_shift_twists_coefficients(self):
         # pushing the plain label shift through the untwisting picks up
