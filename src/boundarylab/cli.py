@@ -296,7 +296,7 @@ def _jv_records(cfg: SuiteConfig) -> list[Record]:
     windex = True
     for a in rays:
         try:
-            W = op_W(a, n, R)
+            op_W(a, n, R)
         except AssertionError:
             agree = False
             continue

@@ -33,10 +33,6 @@ def max_radius() -> int:
         raise DomainError(f"BDL_MAX_RADIUS must be an integer, got {raw!r}") from None
 
 
-def max_depth() -> int:
-    return DEFAULT_MAX_DEPTH
-
-
 def check_radius(R: int) -> None:
     if R < 0:
         raise DomainError(f"radius must be nonnegative, got {R}")
@@ -50,7 +46,7 @@ def check_radius(R: int) -> None:
 def check_depth(d: int) -> None:
     if d < 0:
         raise DomainError(f"depth must be nonnegative, got {d}")
-    if d > max_depth():
+    if d > DEFAULT_MAX_DEPTH:
         raise ResourceLimitError(
-            f"cylinder depth {d} exceeds the configured bound {max_depth()}"
+            f"cylinder depth {d} exceeds the configured bound {DEFAULT_MAX_DEPTH}"
         )

@@ -277,20 +277,24 @@ def verify_v_identities(rank: int) -> list[CheckResult]:
     v = element_v(rank)
     c = element_chi(rank)
     w = v - c
-    vsv, vvs = v.star() * v, v * v.star()
-    out = [
-        CheckResult("v*v == chi", vsv == c, _first_discrepancy_pair(vsv, c)),
-        CheckResult("vv* == chi", vvs == c, _first_discrepancy_pair(vvs, c)),
-        CheckResult("chi* == chi", c.star() == c, _first_discrepancy_pair(c.star(), c)),
-        CheckResult("chi^2 == chi", c * c == c, _first_discrepancy_pair(c * c, c)),
-    ]
+    vs = v.star()
+    out = []
+    for name, lhs in (
+        ("v*v == chi", vs * v),
+        ("vv* == chi", v * vs),
+        ("chi* == chi", c.star()),
+        ("chi^2 == chi", c * c),
+    ):
+        ok = lhs == c
+        out.append(CheckResult(name, ok, "" if ok else _first_discrepancy_pair(lhs, c)))
     u = adjoin_unit(w)
     for name, prod in (("(w+1)*(w+1) == 1", u.star() * u), ("(w+1)(w+1)* == 1", u * u.star())):
-        detail = "" if prod.is_unit() else (
+        ok = prod.is_unit()
+        detail = "" if ok else (
             f"scalar {prod.scalar}, "
             + _first_discrepancy_pair(prod.element, PairElement.zero(rank))
         )
-        out.append(CheckResult(name, prod.is_unit(), detail))
+        out.append(CheckResult(name, ok, detail))
     return out
 
 

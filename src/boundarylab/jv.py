@@ -10,34 +10,41 @@ space, turning b into a shift W that moves one step toward the origin
 along the chosen ray and fixes everything off it.
 
 Each operator is a column rule (basis label to a short list of
-(row, value) pairs) applied to a declared set of columns.  The full
-truncations to a ball (`op_b`, `op_left_edges`, `op_U`) apply the rule to
-every label of the ball.  A certificate builds only the columns it reads:
+(row, value) pairs) applied to a declared set of columns by
+`operators.on_columns`.  The full truncations to a ball (`op_b`,
+`op_left_edges`, `op_U`, `op_W_closed_form`) apply the rule to every
+label of the ball.  A certificate builds only the columns it reads:
 the index of b reads the interior ball, and b moves no label outward, so
 the truncation at the interior radius already has the columns of the
 untruncated operator; the conjugation defect reads the columns of the
 interior ball(n, R - 2|gamma|) and builds each factor only on the image of
 the previous one, which never leaves ball(n, R).
+
+A direction to infinity is the word of its first R + 1 letters, read
+once from a boundary point or from a given finite prefix (a shorter
+prefix is a domain error); a vertex of ball(n, R) lies on the ray
+exactly when that word begins with it (`words.is_initial`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 from .config import DomainError, ResourceLimitError, check_radius
 from .cylinders import CylinderFunction, chi
 from .operators import (
-    Label,
+    Column,
     SupportCertificate,
     TruncatedOperator,
     exact_index,
-    label_norm,
+    left_column,
+    on_columns,
+    op_left,
     support_certificate,
 )
 from .scalars import ONE, Scalar
-from .words import BoundaryPoint, Letter, ReducedWord, ball, multiply
+from .words import BoundaryPoint, Letter, ReducedWord, ball, is_initial, multiply
 
 
 @dataclass(frozen=True)
@@ -74,75 +81,16 @@ def translate_edge(gamma: ReducedWord, edge: Edge) -> Edge:
     return Edge(v if len(v) > len(u) else u)
 
 
-class RayContext:
-    """A direction to infinity, given as a boundary point or a finite prefix.
-
-    A finite prefix of length L answers ray-membership questions up to
-    depth L only; requesting more raises a domain error.  Prefixes are
-    kept once computed: a ball asks for each length thousands of times.
-    """
-
-    __slots__ = ("_point", "_prefix", "_prefixes")
-
-    def __init__(self, direction: BoundaryPoint | ReducedWord):
-        self._prefixes: dict[int, ReducedWord] = {}
-        if isinstance(direction, BoundaryPoint):
-            self._point = direction
-            self._prefix = None
-        elif isinstance(direction, ReducedWord):
-            self._point = None
-            self._prefix = direction
-        else:
-            raise DomainError(f"not a ray direction: {direction!r}")
-
-    @property
-    def depth(self) -> int | None:
-        return None if self._point is not None else len(self._prefix)
-
-    def require_depth(self, k: int) -> None:
-        if self.depth is not None and self.depth < k:
-            raise DomainError(
-                f"ray prefix of length {self.depth} too short for depth {k}"
-            )
-
-    def prefix(self, k: int) -> ReducedWord:
-        if k not in self._prefixes:
-            self.require_depth(k)
-            source = self._point if self._point is not None else self._prefix
-            self._prefixes[k] = source.prefix(k)
-        return self._prefixes[k]
-
-    def on_ray(self, x: ReducedWord) -> bool:
-        return self.prefix(len(x)) == x
-
-    def __str__(self) -> str:
-        return str(self._point if self._point is not None else self._prefix)
-
-
-_Column = Callable[[Label], Iterable[tuple[Label, Scalar]]]
-
-
-def _on_columns(
-    columns: Sequence[Label],
-    column: _Column,
-    R: int,
-    propagation: int,
-    codomain: Iterable[Label] | None = None,
-) -> TruncatedOperator:
-    """The operator whose column at each label is given by the rule,
-    truncated to rows of norm at most R.  Without a codomain it is
-    declared on exactly the rows its columns reach, in first-reached order.
-    """
-    entries = {}
-    reached: dict[Label, None] = {}
-    for c in columns:
-        for row, v in column(c):
-            if label_norm(row) <= R:
-                entries[(row, c)] = v
-                reached[row] = None
-    return TruncatedOperator(
-        columns, reached if codomain is None else codomain, entries, R, propagation
-    )
+def _ray_prefix(a: BoundaryPoint | ReducedWord, R: int) -> ReducedWord:
+    """The first R + 1 letters of a direction to infinity, enough to tell
+    which vertices of ball(n, R) lie on its ray."""
+    if isinstance(a, BoundaryPoint):
+        return a.prefix(R + 1)
+    if not isinstance(a, ReducedWord):
+        raise DomainError(f"not a ray direction: {a!r}")
+    if len(a) < R + 1:
+        raise DomainError(f"ray prefix of length {len(a)} too short for depth {R + 1}")
+    return a.prefix(R + 1)
 
 
 def _b_column(x: ReducedWord) -> tuple[tuple[Edge, Scalar], ...]:
@@ -150,41 +98,49 @@ def _b_column(x: ReducedWord) -> tuple[tuple[Edge, Scalar], ...]:
     return ((Edge(x), ONE),) if len(x) else ()
 
 
-def _left_vertex_column(gamma: ReducedWord) -> _Column:
-    return lambda x: ((multiply(gamma, x), ONE),)
-
-
-def _left_edge_column(gamma: ReducedWord) -> _Column:
+def _left_edge_column(gamma: ReducedWord) -> Column:
     return lambda e: ((translate_edge(gamma, e), ONE),)
 
 
-def _u_column(ray: RayContext) -> _Column:
+def _u_column(prefix: ReducedWord) -> Column:
     """U sends an edge to its endpoint farther from the ray's direction."""
+    return lambda e: ((e.far.parent() if is_initial(e.far, prefix) else e.far, ONE),)
 
-    def column(e: Edge):
-        near, far = e.endpoints
-        return ((near if ray.on_ray(far) else far, ONE),)
 
-    return column
+def _w_column(prefix: ReducedWord) -> Column:
+    """W moves a vertex on the ray one step toward the origin, fixes the
+    others and kills the origin."""
+    return lambda x: ((w_column(prefix, x), ONE),) if len(x) else ()
+
+
+def _fold(prefix: ReducedWord, columns) -> dict[tuple[ReducedWord, ReducedWord], Scalar]:
+    """The nonzero entries of the fold U b on the given columns, composed
+    from the rules of op_b and op_U without building either operator."""
+    u = _u_column(prefix)
+    folded = {}
+    for x in columns:
+        for e, v in _b_column(x):
+            for y, w in u(e):
+                k = (y, x)
+                folded[k] = folded[k] + w * v if k in folded else w * v
+    return {k: v for k, v in folded.items() if v}
 
 
 @lru_cache(maxsize=None)
 def op_b(n: int, R: int) -> TruncatedOperator:
     """Vertex-to-parent-edge operator; kills the origin vector."""
     check_radius(R)
-    return _on_columns(ball(n, R), _b_column, R, 0, edge_basis(n, R))
+    return on_columns(ball(n, R), _b_column, R, 0, edge_basis(n, R))
 
 
 def op_left_vertices(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
-    from .operators import op_left
-
     return op_left(n, gamma, R)
 
 
 @lru_cache(maxsize=None)
 def op_left_edges(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
     basis = edge_basis(n, R)
-    return _on_columns(basis, _left_edge_column(gamma), R, len(gamma), basis)
+    return on_columns(basis, _left_edge_column(gamma), R, len(gamma), basis)
 
 
 def equivariance_defect(n: int, gamma: ReducedWord, R: int) -> SupportCertificate:
@@ -205,67 +161,44 @@ def equivariance_defect(n: int, gamma: ReducedWord, R: int) -> SupportCertificat
         )
     interior = R - 2 * len(gamma)
     columns = ball(n, interior)
-    inner = _on_columns(columns, _left_vertex_column(gamma.inverse()), R, len(gamma))
-    b = _on_columns(inner.codomain, _b_column, R, 0)
-    outer = _on_columns(b.codomain, _left_edge_column(gamma), R, len(gamma))
+    inner = on_columns(columns, left_column(gamma.inverse()), R, len(gamma))
+    b = on_columns(inner.codomain, _b_column, R, 0)
+    outer = on_columns(b.codomain, _left_edge_column(gamma), R, len(gamma))
     conj = outer @ b @ inner
-    defect = conj - _on_columns(columns, _b_column, R, 0, conj.codomain)
+    defect = conj - on_columns(columns, _b_column, R, 0, conj.codomain)
     return support_certificate(
         defect, interior, f"conjugation defect of b by {gamma} at R={R}"
     )
 
 
-def op_U(a: RayContext | BoundaryPoint, n: int, R: int) -> TruncatedOperator:
+def op_U(a: BoundaryPoint | ReducedWord, n: int, R: int) -> TruncatedOperator:
     """Edge-to-vertex map sending each edge to its endpoint farther from a."""
-    ray = a if isinstance(a, RayContext) else RayContext(a)
-    ray.require_depth(R + 1)
-    return _on_columns(edge_basis(n, R), _u_column(ray), R, 1, ball(n, R))
+    prefix = _ray_prefix(a, R)
+    return on_columns(edge_basis(n, R), _u_column(prefix), R, 1, ball(n, R))
 
 
-def op_W_closed_form(a: RayContext | BoundaryPoint, n: int, R: int) -> TruncatedOperator:
+def op_W_closed_form(a: BoundaryPoint | ReducedWord, n: int, R: int) -> TruncatedOperator:
     """The directed shift: one step toward the origin on the ray to a,
     identity off the ray, zero at the origin."""
-    ray = a if isinstance(a, RayContext) else RayContext(a)
-    ray.require_depth(R + 1)
     vertices = ball(n, R)
-    entries = {}
-    for x in vertices:
-        if not len(x):
-            continue
-        target = x.parent() if ray.on_ray(x) else x
-        entries[(target, x)] = ONE
-    return TruncatedOperator(vertices, vertices, entries, R, 1)
+    return on_columns(vertices, _w_column(_ray_prefix(a, R)), R, 1, vertices)
 
 
-def op_W(a: RayContext | BoundaryPoint, n: int, R: int) -> TruncatedOperator:
+def op_W(a: BoundaryPoint | ReducedWord, n: int, R: int) -> TruncatedOperator:
     """The directed shift built as the fold U b, cross-checked against the
     closed form on every column of the ball; any mismatch is a hard error.
 
-    The fold is composed column by column from the rules that build op_b
-    and op_U, without materializing either operator.  The last checked
-    shift toward a boundary point is kept, since every caller that
-    certifies a ray asks for its index next (`index_W`).
+    The last checked shift is kept, keyed by the ray's (R + 1)-letter
+    prefix, since every caller that certifies a ray asks for its index
+    next (`index_W`).
     """
-    if isinstance(a, BoundaryPoint):
-        return _last_shift(a, n, R)
-    return _checked_shift(a, n, R)
+    return _last_shift(_ray_prefix(a, R), n, R)
 
 
 @lru_cache(maxsize=1)
-def _last_shift(a: BoundaryPoint, n: int, R: int) -> TruncatedOperator:
-    return _checked_shift(RayContext(a), n, R)
-
-
-def _checked_shift(ray: RayContext, n: int, R: int) -> TruncatedOperator:
-    closed = op_W_closed_form(ray, n, R)
-    u = _u_column(ray)
-    folded = {}
-    for x in ball(n, R):
-        for e, v in _b_column(x):
-            for y, w in u(e):
-                k = (y, x)
-                folded[k] = folded[k] + w * v if k in folded else w * v
-    if {k: v for k, v in folded.items() if v} != closed.entries:
+def _last_shift(prefix: ReducedWord, n: int, R: int) -> TruncatedOperator:
+    closed = op_W_closed_form(prefix, n, R)
+    if _fold(prefix, ball(n, R)) != closed.entries:
         raise AssertionError("fold of b disagrees with the closed-form shift")
     return closed
 
@@ -277,7 +210,7 @@ def w_column(prefix: ReducedWord, x: ReducedWord) -> ReducedWord | None:
         return None
     if len(prefix) < len(x):
         raise DomainError("prefix shorter than the column label")
-    return x.parent() if prefix.prefix(len(x)) == x else x
+    return x.parent() if is_initial(x, prefix) else x
 
 
 @dataclass(frozen=True)
@@ -323,22 +256,18 @@ def w_local_constancy(n: int, x: ReducedWord, R: int) -> LocalConstancyCertifica
     return LocalConstancyCertificate(str(x), depth, cases, ok)
 
 
-def _checked_shift_column(ray: RayContext, x: ReducedWord) -> dict[ReducedWord, Scalar]:
+def _checked_shift_column(prefix: ReducedWord, x: ReducedWord) -> dict[ReducedWord, Scalar]:
     """The closed-form shift's column at x, checked against the column of
-    the fold U b built from the rules of op_U and op_b."""
-    closed = {(x.parent() if ray.on_ray(x) else x): ONE} if len(x) else {}
-    u = _u_column(ray)
-    folded = {}
-    for e, v in _b_column(x):
-        for y, w in u(e):
-            folded[y] = folded[y] + w * v if y in folded else w * v
-    if {y: c for y, c in folded.items() if c} != closed:
+    the fold U b."""
+    closed = dict(_w_column(prefix)(x))
+    if _fold(prefix, (x,)) != {(y, x): v for y, v in closed.items()}:
         raise AssertionError("fold of b disagrees with the closed-form shift")
     return closed
 
 
-def _deep_extensions(u: ReducedWord, depth: int) -> list[RayContext]:
-    """Two rays through the cylinder of u, long enough for radius checks."""
+def _deep_extensions(u: ReducedWord, depth: int) -> list[ReducedWord]:
+    """Prefixes of two rays through the cylinder of u, long enough for
+    radius checks."""
     out = []
     for letter in (Letter(0, 1), Letter(0, -1)):
         if u.letters and u.letters[-1] == letter.inverse():
@@ -347,7 +276,7 @@ def _deep_extensions(u: ReducedWord, depth: int) -> list[RayContext]:
         word = u
         while len(word) < depth + 1:
             word = multiply(word, period)
-        out.append(RayContext(word))
+        out.append(word)
     return out
 
 
@@ -386,8 +315,8 @@ def wbar_apply(
     return out
 
 
-def index_b(n: int, R: int, interior_radius: int | None = None) -> int:
-    """Index of b over the interior ball (radius R - 1 by default) of the
+def index_b(n: int, R: int) -> int:
+    """Index of b over the interior ball of radius R - 1 of the
     truncation at R.
 
     b moves no label outward (propagation 0), so the truncation at the
@@ -395,9 +324,8 @@ def index_b(n: int, R: int, interior_radius: int | None = None) -> int:
     untruncated b; it is the only one built.
     """
     check_radius(R)
-    r = interior_radius if interior_radius is not None else R - 1
-    return exact_index(op_b(n, min(max(r, 0), R)), r)
+    return exact_index(op_b(n, max(R - 1, 0)), R - 1)
 
 
-def index_W(a: RayContext | BoundaryPoint, n: int, R: int) -> int:
+def index_W(a: BoundaryPoint | ReducedWord, n: int, R: int) -> int:
     return exact_index(op_W(a, n, R), R - 1)

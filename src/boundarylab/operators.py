@@ -6,13 +6,18 @@ module).  Truncation edge effects are handled by certifying statements
 only on an interior sub-ball that no propagation path can leave; on that
 interior, small-radius assertions are exact theorems about the full
 infinite-dimensional operators, not approximations.
+
+Every concrete operator is a column rule (basis label to a short list of
+(row, value) pairs) applied by `on_columns`, the one constructor from
+labels; the only other way to make an operator is arithmetic on
+operators (`+`, `scale`, `@`, `adjoint`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .config import DomainError, ResourceLimitError
 from .cylinders import CylinderFunction
@@ -20,6 +25,7 @@ from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 from .words import ReducedWord, ball, multiply
 
 Label = Hashable
+Column = Callable[[Label], Iterable[tuple[Label, Scalar]]]
 
 
 def label_norm(label) -> int:
@@ -135,9 +141,7 @@ class TruncatedOperator:
     @staticmethod
     def identity(basis: Iterable[Label], radius: int) -> "TruncatedOperator":
         basis = tuple(basis)
-        return TruncatedOperator(
-            basis, basis, {(x, x): ONE for x in basis}, radius, 0
-        )
+        return on_columns(basis, lambda x: ((x, ONE),), radius, 0, basis)
 
 
 def _max_or_none(a: int | None, b: int | None) -> int | None:
@@ -146,65 +150,68 @@ def _max_or_none(a: int | None, b: int | None) -> int | None:
     return max(a, b)
 
 
+def on_columns(
+    columns: Sequence[Label],
+    column: Column,
+    R: int,
+    propagation: int | None,
+    codomain: Iterable[Label] | None = None,
+) -> TruncatedOperator:
+    """The operator whose column at each label is given by the rule,
+    truncated to rows of norm at most R.  Without a codomain it is
+    declared on exactly the rows its columns reach, in first-reached order.
+    """
+    entries = {}
+    for c in columns:
+        for row, v in column(c):
+            if label_norm(row) <= R:
+                entries[(row, c)] = v
+    if codomain is None:
+        codomain = dict.fromkeys(row for row, _ in entries)
+    return TruncatedOperator(columns, codomain, entries, R, propagation)
+
+
 # -- concrete operators ----------------------------------------------
+
+def left_column(gamma: ReducedWord) -> Column:
+    """Left translation by gamma: e_x -> e_{gamma x}."""
+    return lambda x: ((multiply(gamma, x), ONE),)
+
 
 @lru_cache(maxsize=None)
 def op_mult(f: CylinderFunction, R: int) -> TruncatedOperator:
     """Multiplication by the canonical group extension of f, on the ball."""
     basis = ball(f.rank, R)
-    entries = {}
-    for x in basis:
-        v = f.extend(x)
-        if v:
-            entries[(x, x)] = v
-    return TruncatedOperator(basis, basis, entries, R, 0)
+    return on_columns(basis, lambda x: ((x, f.extend(x)),), R, 0, basis)
 
 
 @lru_cache(maxsize=None)
 def op_mult_inverted(f: CylinderFunction, R: int) -> TruncatedOperator:
     """Multiplication by the extension of f composed with group inversion."""
     basis = ball(f.rank, R)
-    entries = {}
-    for x in basis:
-        v = f.extend(x.inverse())
-        if v:
-            entries[(x, x)] = v
-    return TruncatedOperator(basis, basis, entries, R, 0)
+    return on_columns(basis, lambda x: ((x, f.extend(x.inverse())),), R, 0, basis)
 
 
 @lru_cache(maxsize=None)
 def op_left(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
     """Left translation e_x -> e_{gamma x}, truncated to the ball."""
     basis = ball(n, R)
-    inball = set(basis)
-    entries = {}
-    for x in basis:
-        y = multiply(gamma, x)
-        if y in inball:
-            entries[(y, x)] = ONE
-    return TruncatedOperator(basis, basis, entries, R, len(gamma))
+    return on_columns(basis, left_column(gamma), R, len(gamma), basis)
 
 
 @lru_cache(maxsize=None)
 def op_right(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
     """Right translation e_x -> e_{x gamma^-1}, truncated to the ball."""
     basis = ball(n, R)
-    inball = set(basis)
     ginv = gamma.inverse()
-    entries = {}
-    for x in basis:
-        y = multiply(x, ginv)
-        if y in inball:
-            entries[(y, x)] = ONE
-    return TruncatedOperator(basis, basis, entries, R, len(gamma))
+    return on_columns(basis, lambda x: ((multiply(x, ginv), ONE),), R, len(gamma), basis)
 
 
 @lru_cache(maxsize=None)
 def op_inversion(n: int, R: int) -> TruncatedOperator:
     """The self-adjoint involution e_x -> e_{x^-1} (a ball permutation)."""
     basis = ball(n, R)
-    entries = {(x.inverse(), x): ONE for x in basis}
-    return TruncatedOperator(basis, basis, entries, R, None)
+    return on_columns(basis, lambda x: ((x.inverse(), ONE),), R, None, basis)
 
 
 def commutator(T: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
@@ -244,21 +251,23 @@ def exact_rank(rows: Iterable[Mapping[Label, Scalar]]) -> int:
     return rank
 
 
-def _rows_of(T: TruncatedOperator, cols: set[Label]) -> list[dict[Label, Scalar]]:
+def _rows(triples: Iterable[tuple[Label, Label, Scalar]]) -> list[dict[Label, Scalar]]:
+    """Sparse rows from (row, column, value) triples, in first-seen row order."""
     rows: dict[Label, dict[Label, Scalar]] = {}
-    for (row, col), v in T.entries.items():
-        if col in cols:
-            rows.setdefault(row, {})[col] = v
+    for row, col, v in triples:
+        rows.setdefault(row, {})[col] = v
     return list(rows.values())
 
 
 def operator_rank(T: TruncatedOperator) -> int:
-    return exact_rank(_rows_of(T, set(T.domain)))
+    return exact_rank(_rows((row, col, v) for (row, col), v in T.entries.items()))
 
 
 def kernel_dimension(T: TruncatedOperator, cols: set[Label]) -> int:
     """Dimension of the null space of T restricted to the given columns."""
-    return len(cols) - exact_rank(_rows_of(T, cols))
+    return len(cols) - exact_rank(
+        _rows((row, col, v) for (row, col), v in T.entries.items() if col in cols)
+    )
 
 
 def exact_index(T: TruncatedOperator, interior_radius: int) -> int:
@@ -279,11 +288,10 @@ def exact_index(T: TruncatedOperator, interior_radius: int) -> int:
         )
     dom_interior = {x for x in T.domain if label_norm(x) <= interior_radius}
     cod_interior = {x for x in T.codomain if label_norm(x) <= interior_radius}
-    adjoint_rows: dict[Label, dict[Label, Scalar]] = {}
-    for (row, col), v in T.entries.items():
-        if row in cod_interior:
-            adjoint_rows.setdefault(col, {})[row] = v.conj()
-    adjoint_kernel = len(cod_interior) - exact_rank(adjoint_rows.values())
+    adjoint_rows = _rows(
+        (col, row, v.conj()) for (row, col), v in T.entries.items() if row in cod_interior
+    )
+    adjoint_kernel = len(cod_interior) - exact_rank(adjoint_rows)
     return kernel_dimension(T, dom_interior) - adjoint_kernel
 
 
@@ -327,11 +335,9 @@ def support_certificate(
     radius = max(
         (max(label_norm(r), label_norm(c)) for (r, c) in certified), default=0
     )
-    rows: dict[Label, dict[Label, Scalar]] = {}
-    for (row, col), v in certified.items():
-        rows.setdefault(row, {})[col] = v
+    rows = _rows((row, col, v) for (row, col), v in certified.items())
     return SupportCertificate(
-        description or repr(T), radius, exact_rank(rows.values()), interior_radius,
+        description or repr(T), radius, exact_rank(rows), interior_radius,
         bound=bound,
     )
 

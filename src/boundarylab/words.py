@@ -97,11 +97,6 @@ class ReducedWord:
     def prefix(self, d: int) -> "ReducedWord":
         return ReducedWord(self.letters[:d])
 
-    def last(self) -> Letter:
-        if not self.letters:
-            raise DomainError("identity has no last letter")
-        return self.letters[-1]
-
     def parent(self) -> "ReducedWord":
         """The neighbor one unit closer to the identity."""
         if not self.letters:
@@ -243,16 +238,8 @@ class BoundaryPoint:
             letters.extend(self.period.letters)
         return ReducedWord(letters[:d])
 
-    def first_letter(self) -> Letter:
-        return self.prefix(1).letters[0]
-
     def __str__(self) -> str:
         return f"{'' if not self.head.letters else self.head}({self.period})"
-
-
-def lies_on_ray(x: ReducedWord, a: BoundaryPoint) -> bool:
-    """True iff x is a vertex of the ray [e, a)."""
-    return a.prefix(len(x)) == x
 
 
 def act(gamma: ReducedWord, a: BoundaryPoint) -> BoundaryPoint:

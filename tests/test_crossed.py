@@ -160,6 +160,20 @@ class TestDualElement:
         for res in verify_v_identities(rank):
             assert res.passed, f"{res.check_id}: {res.detail}"
 
+    def test_v_identities_multiply_each_pair_once(self, monkeypatch):
+        # v*v, vv*, c*c and the two products of w + 1 with its adjoint
+        calls = []
+        mul = PairElement.__mul__
+
+        def counted(x, y):
+            calls.append((x, y))
+            return mul(x, y)
+
+        monkeypatch.setattr(PairElement, "__mul__", counted)
+        results = verify_v_identities(2)
+        assert len(calls) == 5
+        assert all(r.passed and r.detail == "" for r in results)
+
     @pytest.mark.parametrize("rank", [2, 3])
     def test_conjugate_flip(self, rank):
         res = verify_conjugate_flip(rank)

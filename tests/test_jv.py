@@ -1,10 +1,10 @@
 import pytest
 
+from boundarylab.cli import _random_boundary_points
 from boundarylab.config import DomainError, ResourceLimitError
 from boundarylab.cylinders import CylinderFunction, chi
 from boundarylab.jv import (
     Edge,
-    RayContext,
     edge_basis,
     equivariance_defect,
     index_W,
@@ -213,8 +213,7 @@ class TestWField:
             assert P.entry(x, x) == expected
 
     def test_finite_prefix_context(self):
-        ray = RayContext(W_("ababab"))
-        assert op_W(ray, 2, 4).entries == op_W(B("(ab)"), 2, 4).entries
+        assert op_W(W_("ababab"), 2, 4).entries == op_W(B("(ab)"), 2, 4).entries
 
     def test_index_reuses_the_checked_fold(self, monkeypatch):
         # op_W then index_W on one boundary point folds b over the ball once;
@@ -242,7 +241,7 @@ class TestWField:
 
     def test_short_prefix_rejected(self):
         with pytest.raises(DomainError):
-            op_W(RayContext(W_("ab")), 2, 4)
+            op_W(W_("ab"), 2, 4)
 
     def test_w_equivariance_defect_finite(self):
         # conjugating the shift toward a by gamma gives the shift toward
@@ -351,3 +350,65 @@ class TestWbarApply:
     def test_label_outside_radius_rejected(self):
         with pytest.raises(DomainError):
             wbar_apply({W_("aaaa"): self.one()}, 2, 3)
+
+
+def ref_closed_form_shift(a, n, R):
+    """The closed-form shift as its entry loop built it."""
+    vertices = ball(n, R)
+    entries = {}
+    for x in vertices:
+        if not len(x):
+            continue
+        target = x.parent() if a.prefix(len(x)) == x else x
+        entries[(target, x)] = ONE
+    return TruncatedOperator(vertices, vertices, entries, R, 1)
+
+
+SEEDED_RAYS = {n: _random_boundary_points(n, 4, seed=7) for n in (2, 3)}
+
+
+@pytest.mark.parametrize("n, R", [(2, 4), (3, 3)])
+def test_closed_form_rule_matches_entry_loop(n, R):
+    for a in SEEDED_RAYS[n] + [B("(ab)"), B("b(a)")]:
+        W, ref = op_W_closed_form(a, n, R), ref_closed_form_shift(a, n, R)
+        assert (W.domain, W.codomain) == (ref.domain, ref.codomain)
+        assert list(W.entries.items()) == list(ref.entries.items())
+        assert (W.radius, W.propagation) == (ref.radius, ref.propagation)
+
+
+class TestRaysAsPrefixes:
+    """A direction is read the same from a boundary point, from its
+    (R + 1)-letter prefix and from any longer prefix."""
+
+    @pytest.mark.parametrize("R", [3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_point_and_prefixes_agree(self, n, R):
+        for a in SEEDED_RAYS[n]:
+            for direction in (a.prefix(R + 1), a.prefix(R + 4)):
+                assert op_U(direction, n, R) == op_U(a, n, R)
+                assert op_W_closed_form(direction, n, R) == op_W_closed_form(a, n, R)
+                assert op_W(direction, n, R) == op_W(a, n, R)
+                assert index_W(direction, n, R) == index_W(a, n, R) == 1
+
+    @pytest.mark.parametrize("build", [op_U, op_W_closed_form, op_W, index_W])
+    def test_short_prefix_rejected_before_any_column(self, build, monkeypatch):
+        from boundarylab import jv
+
+        columns = []
+        on_columns = jv.on_columns
+
+        def counted(cols, *args, **kwargs):
+            columns.append(cols)
+            return on_columns(cols, *args, **kwargs)
+
+        monkeypatch.setattr(jv, "on_columns", counted)
+        monkeypatch.setattr(jv, "_b_column", lambda x: columns.append(x) or ())
+        a = SEEDED_RAYS[2][0]
+        for R in (3, 4, 5):
+            with pytest.raises(DomainError):
+                build(a.prefix(R), 2, R)
+        assert columns == []
+
+    def test_not_a_direction(self):
+        with pytest.raises(DomainError):
+            op_W("(ab)", 2, 3)

@@ -216,3 +216,70 @@ class TestDiagnostics:
         cert = support_certificate(op_mult(chi(2, W("a")), 2), 2, "mult")
         d = cert.to_json_dict()
         assert d["exact"] is True and d["description"] == "mult"
+
+
+# -- the hand-written entry loops the column rules replaced -------------
+
+def ref_diagonal(basis, R, value):
+    entries = {}
+    for x in basis:
+        v = value(x)
+        if v:
+            entries[(x, x)] = v
+    return TruncatedOperator(basis, basis, entries, R, 0)
+
+
+def ref_translation(basis, R, move, propagation):
+    inball = set(basis)
+    entries = {}
+    for x in basis:
+        y = move(x)
+        if y in inball:
+            entries[(y, x)] = ONE
+    return TruncatedOperator(basis, basis, entries, R, propagation)
+
+
+def ref_operators(n, R, f, gamma):
+    """The operators as their entry loops built them, by name."""
+    from boundarylab.words import multiply
+
+    basis = ball(n, R)
+    ginv = gamma.inverse()
+    return {
+        "mult": ref_diagonal(basis, R, f.extend),
+        "mult_inverted": ref_diagonal(basis, R, lambda x: f.extend(x.inverse())),
+        "left": ref_translation(basis, R, lambda x: multiply(gamma, x), len(gamma)),
+        "right": ref_translation(basis, R, lambda x: multiply(x, ginv), len(gamma)),
+        "inversion": TruncatedOperator(
+            basis, basis, {(x.inverse(), x): ONE for x in basis}, R, None
+        ),
+        "identity": TruncatedOperator(
+            tuple(basis), tuple(basis), {(x, x): ONE for x in basis}, R, 0
+        ),
+    }
+
+
+def same_operator(T, ref):
+    """Equal bases in order, entries in order, radius and propagation."""
+    return (
+        T.domain == ref.domain
+        and T.codomain == ref.codomain
+        and list(T.entries.items()) == list(ref.entries.items())
+        and (T.radius, T.propagation) == (ref.radius, ref.propagation)
+    )
+
+
+@pytest.mark.parametrize("n, R", [(2, 4), (3, 3)])
+def test_column_rules_match_entry_loops(n, R):
+    fs = [one(n), chi(n, W("a")), chi(n, W("ab")) - chi(n, W("b"))]
+    for f, gamma in itertools.product(fs, ball(n, 2)):
+        built = {
+            "mult": op_mult(f, R),
+            "mult_inverted": op_mult_inverted(f, R),
+            "left": op_left(n, gamma, R),
+            "right": op_right(n, gamma, R),
+            "inversion": op_inversion(n, R),
+            "identity": TruncatedOperator.identity(ball(n, R), R),
+        }
+        for name, ref in ref_operators(n, R, f, gamma).items():
+            assert same_operator(built[name], ref), (name, f, gamma)

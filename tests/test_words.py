@@ -15,7 +15,6 @@ from boundarylab.words import (
     dist,
     generators,
     is_initial,
-    lies_on_ray,
     meet,
     multiply,
     reduce,
@@ -140,8 +139,10 @@ class TestBoundaryPoints:
         assert B("(ab)").prefix(3) == W("aba")
 
     def test_lies_on_ray(self):
-        assert lies_on_ray(W("a"), B("(ab)"))
-        assert not lies_on_ray(W("b"), B("(ab)"))
+        # a vertex lies on the ray [e, a) when a prefix of a begins with it
+        ray = B("(ab)").prefix(4)
+        assert is_initial(W("a"), ray) and is_initial(W("abab"), ray)
+        assert not is_initial(W("b"), ray) and not is_initial(W("abA"), ray)
 
     def test_canonical_equality(self):
         # same stream, different presentations
