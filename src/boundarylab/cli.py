@@ -50,6 +50,7 @@ from .words import (
     Letter,
     ReducedWord,
     ball,
+    parse_word,
     sphere,
 )
 
@@ -350,11 +351,11 @@ def _untwist_records(cfg: SuiteConfig) -> list[Record]:
 
     iota_ok = True
     first = None
+    inner = {IDENTITY: chi(n, ReducedWord.parse("a"))}
     for gamma in [IDENTITY] + list(sphere(n, 1)):
         b = PairElement(n, {gamma: dual_coefficient(n, ReducedWord.parse("a"))})
-        inner_map = lambda _delta: {IDENTITY: chi(n, ReducedWord.parse("a"))}
         for f in fs[: n + 1]:
-            cert = iota_check(b, f, R, min(d, 1), inner_map)
+            cert = iota_check(b, f, R, inner)
             iota_ok = iota_ok and cert.equal
             if first is None and not cert.equal:
                 first = cert.first_discrepancy
@@ -371,9 +372,10 @@ def _untwist_records(cfg: SuiteConfig) -> list[Record]:
     U = untwist_U()
     unit_ok = True
     vecs = [xi for _, xi in spanning_vectors(n, min(R, 2), 1)]
-    for xi in vecs:
-        for eta in vecs[: 2 * n + 1]:
-            if inner_product(U(xi), U(eta)) != inner_product(xi, eta):
+    images = [U(xi) for xi in vecs]
+    for xi, Uxi in zip(vecs, images):
+        for eta, Ueta in zip(vecs[: 2 * n + 1], images):
+            if inner_product(Uxi, Ueta) != inner_product(xi, eta):
                 unit_ok = False
     records.append(
         Record(
@@ -422,6 +424,8 @@ def run_suite(
         raise DomainError(f"unknown suite: {suite}")
     if suite in ("jv", "all"):
         check_radius(cfg.radius + 1)  # the jv index sweep reads radius R + 1
+        if cfg.radius < 2:  # the shift-constancy record reads labels of ball(n, 2)
+            raise DomainError(f"the jv suite needs radius at least 2, got {cfg.radius}")
     if suite == "all":
         check_depth(cfg.radius + 1)  # the flagship translates at labels of length R + 1
     start = time.monotonic()
@@ -469,15 +473,19 @@ def _emit_certificate(cert, passed: bool, json_path: str | None) -> int:
     return 0 if passed else 1
 
 
-def _parse_mutation(text: str | None) -> tuple[ReducedWord | None, ReducedWord | None]:
+def _parse_mutation(
+    text: str | None, rank: int
+) -> tuple[ReducedWord | None, ReducedWord | None]:
+    """The word of drop:WORD or perturb:WORD, which must be a generator of F_rank."""
     if not text:
         return None, None
     kind, _, word = text.partition(":")
-    if kind == "drop":
-        return ReducedWord.parse(word), None
-    if kind == "perturb":
-        return None, ReducedWord.parse(word)
-    raise DomainError("mutation must look like drop:a or perturb:b")
+    if kind not in ("drop", "perturb"):
+        raise DomainError("mutation must look like drop:a or perturb:b")
+    g = parse_word(word, rank)
+    if len(g) != 1:
+        raise DomainError(f"mutation word must be a generator, got {word!r}")
+    return (g, None) if kind == "drop" else (None, g)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="algebra identities, or a named suite"
     )
     p_verify.add_argument("--suite", choices=SUITES, default="algebra")
-    p_verify.add_argument("--mutate", default=None, help="drop:WORD or perturb:WORD")
+    p_verify.add_argument("--mutate", default=None, help="drop:G or perturb:G, G a generator")
 
     p_oplab = sub.add_parser("oplab", help="truncated operator certificates")
     op_sub = p_oplab.add_subparsers(dest="action", required=True)
@@ -520,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     un_sub.add_parser("check", parents=[common])
 
     p_fin = sub.add_parser("final-identity", parents=[common], help="the flagship comparison")
-    p_fin.add_argument("--mutate", default=None, help="drop:WORD or perturb:WORD")
+    p_fin.add_argument("--mutate", default=None, help="drop:G or perturb:G, G a generator")
     return parser
 
 
@@ -528,12 +536,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = SuiteConfig(rank=args.rank, radius=args.radius, depth=args.depth)
     try:
+        cfg.validate()
         if args.command == "verify":
-            drop, perturb = _parse_mutation(args.mutate)
+            drop, perturb = _parse_mutation(args.mutate, cfg.rank)
             return _emit(run_suite(cfg, args.suite, drop=drop, perturb=perturb), args.json)
         if args.command == "oplab":
             f = parse_cylinder(args.f, cfg.rank)
-            gamma = ReducedWord.parse(args.gamma)
+            gamma = parse_word(args.gamma, cfg.rank)
             cert = lambda_rho_commute_check(
                 f, gamma, CylinderFunction.constant(cfg.rank, ONE), IDENTITY, cfg.radius
             )
@@ -541,13 +550,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "jv":
             if args.action == "index":
                 return _emit(run_suite(cfg, "jv"), args.json)
-            gamma = ReducedWord.parse(args.gamma)
+            gamma = parse_word(args.gamma, cfg.rank)
             cert = equivariance_defect(cfg.rank, gamma, cfg.radius)
             return _emit_certificate(cert, cert.rank <= len(gamma), args.json)
         if args.command == "untwist":
             return _emit(run_suite(cfg, "untwist"), args.json)
         if args.command == "final-identity":
-            drop, perturb = _parse_mutation(args.mutate)
+            drop, perturb = _parse_mutation(args.mutate, cfg.rank)
             cert = final_identity_check(
                 cfg.rank, cfg.radius, cfg.depth, drop=drop, perturb=perturb
             )

@@ -142,16 +142,8 @@ class CrossedElement(_GroupSum):
         return translate(g, f)
 
     @staticmethod
-    def one(rank: int) -> "CrossedElement":
-        return CrossedElement(rank, {IDENTITY: CylinderFunction.constant(rank, ONE)})
-
-    @staticmethod
     def monomial(f: CylinderFunction, gamma: ReducedWord) -> "CrossedElement":
         return CrossedElement(f.rank, {gamma: f})
-
-    @staticmethod
-    def unitary(rank: int, gamma: ReducedWord) -> "CrossedElement":
-        return CrossedElement.monomial(CylinderFunction.constant(rank, ONE), gamma)
 
     def left_mul_function(self, f: CylinderFunction) -> "CrossedElement":
         return CrossedElement(self.rank, {g: f * k for g, k in self.terms.items()})

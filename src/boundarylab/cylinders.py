@@ -41,6 +41,7 @@ from .words import (
     generators,
     is_initial,
     multiply,
+    parse_word,
     sphere,
 )
 
@@ -181,14 +182,6 @@ class CylinderFunction:
     def __repr__(self) -> str:
         body = ", ".join(f"{w}:{v}" for w, v in _shortlex(self._uniform(self.depth)))
         return f"Cyl(n={self.rank}, d={self.depth}, {{{body}}})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "values": {
-                str(w): [str(v.re), str(v.im)] for w, v in _shortlex(self._uniform(self.depth))
-            },
-        }
 
 
 class _Refined(CylinderFunction):
@@ -583,7 +576,9 @@ def _tokenize(text: str) -> list[str]:
             out.append(ch)
             i += 1
         elif text.startswith("chi(", i):
-            j = text.index(")", i)
+            j = text.find(")", i)
+            if j < 0:
+                raise DomainError(f"unclosed chi( in cylinder literal {text!r}")
             out.append(text[i : j + 1])
             i = j + 1
         elif ch.isdigit():
@@ -625,7 +620,7 @@ def _parse_atom(tokens, rank):
         raise DomainError("truncated cylinder literal")
     tok, rest = tokens[0], tokens[1:]
     if tok.startswith("chi("):
-        return chi(rank, ReducedWord.parse(tok[4:-1])), rest
+        return chi(rank, parse_word(tok[4:-1], rank)), rest
     if tok.isdigit():
         return CylinderFunction.constant(rank, Scalar.of(int(tok))), rest
     raise DomainError(f"unexpected token {tok!r} in cylinder literal")

@@ -220,14 +220,6 @@ class LocalConstancyCertificate:
     cases: int
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "depth": self.depth,
-            "cases": self.cases,
-            "passed": self.passed,
-        }
-
 
 def w_local_constancy(n: int, x: ReducedWord, R: int) -> LocalConstancyCertificate:
     """Check that the shift column at x is determined by the depth-|x|

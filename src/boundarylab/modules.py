@@ -9,11 +9,14 @@ labels h and the left multiplier c . f . u_gamma placed at each.
 Applying a map is one loop over those columns, and composing two maps
 multiplies their kernels.
 
-All operator identities here are certified on explicit spanning sets:
-every indicator of bounded depth placed at every label in a ball.  Right
-linearity extends such a certificate to general coefficients with
-parameters in range, which is the only sense in which the word "equal"
-is used below.
+Because every map is right linear, its column at g -- the image of the
+constant function placed at g -- determines it, and two maps agree on
+a ball exactly when their columns there agree: `maps_agree` at spanning
+depth 0 and `iota_check` compare columns only.  The bounded-depth
+indicators of `spanning_vectors` add no information; a positive depth
+matters only where a gate counts the vectors checked.  Right linearity
+extends such a certificate to general coefficients with parameters in
+range, which is the only sense in which the word "equal" is used below.
 """
 
 from __future__ import annotations
@@ -162,9 +165,9 @@ def op_phi(x: CrossedElement) -> ModuleMap:
 
 def op_tau_gamma(gamma: ReducedWord) -> ModuleMap:
     """Label shift with no coefficient twisting."""
+    inverse = gamma.inverse()
     return ModuleMap(
-        f"tau(u_{gamma})",
-        lambda g: [(multiply(g, gamma.inverse()), ONE, None, IDENTITY)],
+        f"tau(u_{gamma})", lambda g: [(multiply(g, inverse), ONE, None, IDENTITY)]
     )
 
 
@@ -221,9 +224,10 @@ def spanning_vectors(
     """Basis-style vectors: every bounded-depth indicator at every label
     in the ball, in deterministic shortlex order.  Each comes with its
     (indicator, label) pair; `_describe` renders it for the failures a
-    certificate reports."""
+    certificate reports.  At depth 0 these are the columns."""
+    fs = spanning_indicators(n, d)
     for g in ball(n, R):
-        for f in spanning_indicators(n, d):
+        for f in fs:
             yield (f, g), ModuleVector.basis(n, f, g)
 
 
@@ -281,15 +285,6 @@ class DecayCertificate:
     nonvanishing_labels: int
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "radius": self.radius,
-            "threshold": self.threshold,
-            "nonvanishing_labels": self.nonvanishing_labels,
-            "pass": self.passed,
-        }
-
 
 def decay_check(
     F: BiCylinderFunction,
@@ -309,8 +304,7 @@ def decay_check(
     count = 0
     for x in ball(n, R):
         weight = _weight(F, frozen, x)
-        diff = weight.scale(f.extend(x)) - weight * f
-        if not diff.is_zero():
+        if weight.scale(f.extend(x)) != weight * f:
             count += 1
             threshold = max(threshold, len(x) + 1)
     return DecayCertificate(
@@ -323,13 +317,13 @@ def iota_check(
     b: PairElement,
     f: CylinderFunction,
     R: int,
-    d: int,
-    inner_for: Callable[[ReducedWord], Mapping[ReducedWord, CylinderFunction]] | None = None,
+    inner: Mapping[ReducedWord, CylinderFunction] | None = None,
 ) -> EqualityCertificate:
     """Compare the two untwisted pictures of multiplication by f under a
     two-variable coefficient: second-leg scalar extension against honest
     pointwise multiplication.  They must agree outside a finite label
-    set no larger than the decay threshold allows."""
+    set no larger than the decay threshold allows.  Both pictures are
+    right linear, so they are compared on their columns only."""
     n = f.rank
     checked = 0
     bad = []
@@ -337,12 +331,12 @@ def iota_check(
     max_shift = max((len(delta) for delta in b.terms), default=0)
     limit = 0
     for delta, F in sorted(b.terms.items(), key=lambda kv: kv[0].sort_key()):
-        inner = inner_for(delta) if inner_for is not None else None
-        T = op_tau_monomial(F, delta, inner) @ op_mult_label(f)
-        S = op_tau_monomial(F, delta, inner) @ op_phi_function(f)
+        tau = op_tau_monomial(F, delta, inner)
+        T = tau @ op_mult_label(f)
+        S = tau @ op_phi_function(f)
         cert = decay_check(F, f, R, inner)
         limit = max(limit, cert.threshold + max_shift)
-        for key, xi in spanning_vectors(n, R - max_shift, d):
+        for key, xi in spanning_vectors(n, R - max_shift, 0):
             checked += 1
             delta_out = T(xi) - S(xi)
             if delta_out.is_zero():
@@ -354,7 +348,7 @@ def iota_check(
     labels = _describe(bad)
     return EqualityCertificate(
         "second-leg extension matches pointwise multiplication up to finite defect",
-        n, R, d, checked, not bad or ok, labels[0] if bad else None, labels,
+        n, R, 0, checked, not bad or ok, labels[0] if bad else None, labels,
     )
 
 

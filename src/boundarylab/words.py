@@ -68,7 +68,7 @@ class ReducedWord:
 
     @staticmethod
     def parse(text: str) -> "ReducedWord":
-        if text in ("", "1", "e"):
+        if text in ("", "1"):
             return IDENTITY
         return reduce(_parse_letters(text))
 
@@ -139,9 +139,12 @@ def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
     return ReducedWord(xl[: len(xl) - k] + yl[k:])
 
 
-def dist(x: ReducedWord, y: ReducedWord) -> int:
-    """Word metric d(x, y) = |x^-1 y|."""
-    return len(multiply(x.inverse(), y))
+def parse_word(text: str, n: int) -> ReducedWord:
+    """A word of F_n: a letter past the first n generators is a domain error."""
+    word = ReducedWord.parse(text)
+    if any(l.index >= n for l in word.letters):
+        raise DomainError(f"word {text!r} has a letter outside the {n} generators")
+    return word
 
 
 def is_initial(x: ReducedWord, y: ReducedWord) -> bool:

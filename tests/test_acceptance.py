@@ -3,7 +3,9 @@ stated scope with zero tolerance.  Each test prints one pass/fail line.
 """
 
 import itertools
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -214,9 +216,9 @@ def test_criterion_09_untwisting():
     for gamma in sphere(n, 1):
         for delta in [IDENTITY] + list(sphere(n, 1)):
             b = PairElement(n, {delta: dual_coefficient(n, gamma)})
-            inner_map = lambda _d, g=gamma: {IDENTITY: chi(n, g)}
+            inner = {IDENTITY: chi(n, gamma)}
             for f in fs:
-                cert = iota_check(b, f, R, 1, inner_map)
+                cert = iota_check(b, f, R, inner)
                 iota_ok = iota_ok and cert.equal
     U = untwist_U()
     vecs = [xi for _, xi in spanning_vectors(n, 2, 1)]
@@ -251,6 +253,18 @@ def test_criterion_10_final_identity_rank3():
     )
 
 
+@pytest.mark.parametrize("rank, R, columns", [(3, 5, 4687), (4, 4, 3201)])
+def test_criterion_10_kernel_wider_scope(rank, R, columns):
+    # every module map is right linear, so depth 0 -- the constant
+    # function at each label, i.e. the kernel column -- decides equality
+    cert = final_identity_check(rank, R, 0)
+    report(
+        f"criterion 10: lift equals shift on its columns, rank {rank}, R={R}",
+        cert.equal and cert.checked == columns,
+        f"{cert.checked} columns",
+    )
+
+
 def test_criterion_11_mutation_sensitivity():
     ok = True
     details = []
@@ -265,4 +279,27 @@ def test_criterion_11_mutation_sensitivity():
         "criterion 11: mutation sensitivity",
         ok,
         "; ".join(details) or "all 8 mutations detected and localized",
+    )
+
+
+def test_criterion_11_mutants_localized_on_columns():
+    # each mutant fails on its columns with the first discrepancy of its
+    # depth-2 golden report
+    golden = Path(__file__).resolve().parent / "golden"
+    details = []
+    for kind in ("drop", "perturb"):
+        for g in sphere(2, 1):
+            name = str(g).lower() + ("-inv" if str(g).isupper() else "")
+            record = next(
+                r
+                for r in json.loads((golden / f"verify-all-{kind}-{name}.json").read_text())["checks"]
+                if r["check_id"] == "final.lift-equals-shift"
+            )
+            cert = final_identity_check(2, 4, 0, **{kind: g})
+            if cert.equal or cert.first_discrepancy != record["certificate"]["discrepancy"]:
+                details.append(f"{kind} {g}: {cert.first_discrepancy}")
+    report(
+        "criterion 11: mutants localized on their columns",
+        not details,
+        "; ".join(details) or "all 8 mutations fail at their golden discrepancy",
     )

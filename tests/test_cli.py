@@ -174,15 +174,48 @@ class TestExitCodes:
         assert "BDL_MAX_RADIUS" in capsys.readouterr().err
 
 
+class TestInputRules:
+    """Malformed words and ranks exit 2 before any work."""
+
+    def test_unclosed_cylinder_literal(self, capsys):
+        assert main(["oplab", "commutator", "--f", "chi("]) == 2
+        assert "unclosed" in capsys.readouterr().err
+
+    def test_cylinder_letter_outside_rank(self, capsys):
+        assert main(["oplab", "commutator", "--f", "chi(c)"]) == 2
+        assert "outside the 2 generators" in capsys.readouterr().err
+
+    def test_gamma_letter_outside_rank(self, capsys):
+        assert main(["jv", "defect", "--gamma", "c"]) == 2
+        assert "outside the 2 generators" in capsys.readouterr().err
+        assert main(["jv", "defect", "--gamma", "c", "--rank", "3"]) == 0
+
+    @pytest.mark.parametrize("mutation", ["drop:c", "drop:ab", "drop:"])
+    def test_mutation_word_must_be_generator(self, mutation, monkeypatch, capsys):
+        def final_identity_check(*args, **kwargs):
+            raise AssertionError("flagship ran on a malformed mutation")
+
+        monkeypatch.setattr(cli, "final_identity_check", final_identity_check)
+        assert main(["final-identity", "--mutate", mutation]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_rank_checked_by_every_command(self, capsys):
+        assert main(["jv", "defect", "--gamma", "a", "--rank", "27"]) == 2
+        assert "at most 26" in capsys.readouterr().err
+
+
 class TestHelpers:
     def test_parse_mutation(self):
         from boundarylab.words import ReducedWord
 
-        assert _parse_mutation(None) == (None, None)
-        drop, perturb = _parse_mutation("drop:ab")
-        assert drop == ReducedWord.parse("ab") and perturb is None
-        drop, perturb = _parse_mutation("perturb:B")
+        assert _parse_mutation(None, 2) == (None, None)
+        drop, perturb = _parse_mutation("drop:a", 2)
+        assert drop == ReducedWord.parse("a") and perturb is None
+        drop, perturb = _parse_mutation("perturb:B", 2)
         assert drop is None and perturb == ReducedWord.parse("B")
+        with pytest.raises(DomainError):
+            _parse_mutation("drop:ab", 2)
+        assert _parse_mutation("drop:e", 5) == (ReducedWord.parse("e"), None)
 
     def test_random_points_deterministic(self):
         a = _random_boundary_points(2, 10)
@@ -211,6 +244,18 @@ class TestLimitsBeforeWork:
 
     def test_rank_of_last_letter_accepted(self):
         SuiteConfig(rank=26).validate()
+
+    @pytest.mark.parametrize(
+        "argv", [["jv", "index", "--radius", "1"], ["verify", "--suite", "jv", "--radius", "0"]]
+    )
+    def test_jv_radius_below_two(self, argv, monkeypatch, capsys):
+        # the shift-constancy record reads labels of ball(n, 2)
+        def w_local_constancy(*args):
+            raise AssertionError("shift constancy checked before the radius floor")
+
+        monkeypatch.setattr(cli, "w_local_constancy", w_local_constancy)
+        assert main(argv) == 2
+        assert "radius at least 2" in capsys.readouterr().err
 
     def test_verify_all_radius_past_cap(self, monkeypatch, capsys):
         # the jv radius is checked before the algebra suite, the first to run

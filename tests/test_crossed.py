@@ -48,6 +48,10 @@ W = ReducedWord.parse
 B = BoundaryPoint.parse
 
 
+def unitary(rank: int, gamma: ReducedWord) -> CrossedElement:
+    return CrossedElement.monomial(CylinderFunction.constant(rank, ONE), gamma)
+
+
 def monomials(n=2):
     """All f u_g with f a depth-<=1 indicator (or 1) and |g| <= 1."""
     fns = [CylinderFunction.constant(n, ONE)] + [chi(n, u) for u in sphere(n, 1)]
@@ -57,8 +61,8 @@ def monomials(n=2):
 
 class TestCrossedAlgebra:
     def test_unitaries_multiply(self):
-        u = CrossedElement.unitary(2, W("ab"))
-        assert u * CrossedElement.unitary(2, W("BA")) == CrossedElement.one(2)
+        u = unitary(2, W("ab"))
+        assert u * unitary(2, W("BA")) == unitary(2, IDENTITY)
 
     def test_star_of_monomial(self):
         x = CrossedElement.monomial(chi(2, W("a")), W("a"))

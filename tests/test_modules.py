@@ -6,8 +6,10 @@ from boundarylab.config import DomainError
 from boundarylab.crossed import CrossedElement, PairElement, dual_coefficient
 from boundarylab.cylinders import CylinderFunction, chi, tensor
 from boundarylab.modules import (
+    EqualityCertificate,
     ModuleMap,
     ModuleVector,
+    _describe,
     build_Fbar,
     build_Pbar,
     build_Vbar,
@@ -25,6 +27,7 @@ from boundarylab.modules import (
     op_phi_unitary,
     op_tau_F,
     op_tau_gamma,
+    op_tau_monomial,
     spanning_vectors,
     untwist_U,
     untwist_U_star,
@@ -45,6 +48,11 @@ def one(n=2):
     return CylinderFunction.constant(n, ONE)
 
 
+def unitary(n, gamma):
+    """The group unitary u_gamma as an algebra element."""
+    return CrossedElement.monomial(one(n), gamma)
+
+
 def unit_at(g, n=2):
     return ModuleVector.basis(n, one(n), g)
 
@@ -57,11 +65,67 @@ def inner_a(n=2):
     return {IDENTITY: chi(n, W("a"))}
 
 
+def kernel_maps():
+    x = CrossedElement.monomial(chi(2, W("a")), W("b")) + CrossedElement.monomial(
+        chi(2, W("B")), IDENTITY
+    )
+    return [
+        op_tau_F(F_a(), inner_a()),
+        untwist_U(),
+        untwist_U_star(),
+        op_mult_label(chi(2, W("ab"))),
+        build_Vbar(2),
+        build_Pbar(2),
+        op_phi(x),
+        op_tau_gamma(W("a")),
+    ]
+
+
+def iota_pictures():
+    """The two maps `iota_check` compares, for one coefficient term:
+    second-leg extension T and pointwise multiplication S."""
+    tau = op_tau_monomial(F_a(), W("a"), inner_a())
+    f = chi(2, W("ab"))
+    return [tau @ op_mult_label(f), tau @ op_phi_function(f)]
+
+
+def spanning_iota_check(b, f, R, d, inner_for=None):
+    """The spanning-vector form of `iota_check`, the reference for its
+    column form: both pictures applied to every indicator of depth <= d
+    at every label, with the small-ball values chosen per shift."""
+    n = f.rank
+    checked = 0
+    bad = []
+    worst = 0
+    max_shift = max((len(delta) for delta in b.terms), default=0)
+    limit = 0
+    for delta, F in sorted(b.terms.items(), key=lambda kv: kv[0].sort_key()):
+        inner = inner_for(delta) if inner_for is not None else None
+        T = op_tau_monomial(F, delta, inner) @ op_mult_label(f)
+        S = op_tau_monomial(F, delta, inner) @ op_phi_function(f)
+        cert = decay_check(F, f, R, inner)
+        limit = max(limit, cert.threshold + max_shift)
+        for key, xi in spanning_vectors(n, R - max_shift, d):
+            checked += 1
+            delta_out = T(xi) - S(xi)
+            if delta_out.is_zero():
+                continue
+            if len(bad) < 16:
+                bad.append(key)
+            worst = max(worst, max(len(g) for g in delta_out.entries))
+    ok = worst <= limit
+    labels = _describe(bad)
+    return EqualityCertificate(
+        "second-leg extension matches pointwise multiplication up to finite defect",
+        n, R, d, checked, not bad or ok, labels[0] if bad else None, labels,
+    )
+
+
 class TestModuleVector:
     def test_inner_product_orthonormal(self):
         e_g = unit_at(W("ab"))
         e_h = unit_at(W("b"))
-        assert inner_product(e_g, e_g) == CrossedElement.one(2)
+        assert inner_product(e_g, e_g) == unitary(2, IDENTITY)
         assert inner_product(e_g, e_h).is_zero()
 
     def test_inner_product_right_compatible(self):
@@ -84,12 +148,12 @@ class TestModuleVector:
 class TestPhi:
     def test_identity_map(self):
         xi = unit_at(W("ab"))
-        assert op_phi(CrossedElement.one(2))(xi) == xi
+        assert op_phi(unitary(2, IDENTITY))(xi) == xi
 
     def test_generator_on_basis(self):
         out = op_phi_unitary(W("a"))(unit_at(IDENTITY))
         assert out == ModuleVector(
-            2, {W("a"): CrossedElement.unitary(2, W("a"))}
+            2, {W("a"): unitary(2, W("a"))}
         )
 
     def test_multiplicative_on_unitaries(self):
@@ -108,11 +172,20 @@ class TestPhi:
             S = op_phi_function(translate(g, f))
             assert maps_agree(T, S, 2, 3, 1).equal
 
-    def test_right_linearity(self):
+    @pytest.mark.parametrize(
+        "T",
+        [op_phi(CrossedElement.monomial(chi(2, W("b")), W("a")))]
+        + kernel_maps()
+        + [build_Fbar(2), build_Wbar(2, 3)],
+        ids=["phi", "tau-F", "U", "U-star", "M-label", "Vbar", "Pbar", "phi-sum",
+             "tau-gamma", "Fbar", "Wbar"],
+    )
+    def test_right_linearity(self, T):
+        # T(xi . a) = T(xi) . a: the fact that lets one column stand for
+        # every spanning vector at its label
         a = CrossedElement.monomial(chi(2, W("a")), W("b"))
-        x = CrossedElement.monomial(chi(2, W("b")), W("a"))
         for _, xi in itertools.islice(spanning_vectors(2, 2, 1), 0, None, 5):
-            assert op_phi(x)(act(xi, a)) == act(op_phi(x)(xi), a)
+            assert T(act(xi, a)) == act(T(xi), a)
 
 
 class TestTau:
@@ -138,9 +211,13 @@ class TestTau:
         S = op_phi_function(chi(2, W("b"))) @ op_tau_F(F_a(), inner_a())
         assert maps_agree(T, S, 2, 3, 1).equal
 
-    def test_right_linearity(self):
+    @pytest.mark.parametrize(
+        "T",
+        [op_tau_F(F_a(), inner_a()) @ op_tau_gamma(W("a"))] + iota_pictures(),
+        ids=["tau-monomial", "iota-T", "iota-S"],
+    )
+    def test_right_linearity(self, T):
         a = CrossedElement.monomial(chi(2, W("a")), W("b"))
-        T = op_tau_F(F_a(), inner_a()) @ op_tau_gamma(W("a"))
         for _, xi in itertools.islice(spanning_vectors(2, 2, 1), 0, None, 3):
             assert T(act(xi, a)) == act(T(xi), a)
 
@@ -148,7 +225,7 @@ class TestTau:
 class TestUntwist:
     def test_on_basis(self):
         out = untwist_U()(unit_at(W("ab")))
-        assert out == ModuleVector(2, {W("ab"): CrossedElement.unitary(2, W("ab"))})
+        assert out == ModuleVector(2, {W("ab"): unitary(2, W("ab"))})
 
     def test_unitary_inner_products(self):
         U = untwist_U()
@@ -171,9 +248,7 @@ class TestUntwist:
         T = conjugate_by_U(op_tau_gamma(g))
         xi = unit_at(W("b"))
         out = T(xi)
-        expected = CrossedElement.unitary(2, W("bA")) * CrossedElement.unitary(
-            2, W("b")
-        ).star()
+        expected = unitary(2, W("bA")) * unitary(2, W("b")).star()
         assert out == ModuleVector(2, {W("bA"): expected})
 
 
@@ -200,18 +275,41 @@ class TestDecay:
 class TestIota:
     def test_monomial_pass(self):
         b = PairElement(2, {IDENTITY: F_a()})
-        cert = iota_check(b, chi(2, W("b")), 6, 1, lambda d: inner_a())
+        cert = iota_check(b, chi(2, W("b")), 6, inner_a())
         assert cert.equal
 
     def test_constant_exact(self):
         b = PairElement(2, {IDENTITY: F_a()})
-        cert = iota_check(b, one(), 5, 1, lambda d: inner_a())
+        cert = iota_check(b, one(), 5, inner_a())
         assert cert.equal and cert.first_discrepancy is None
 
     def test_shifted_monomial_pass(self):
         b = PairElement(2, {W("a"): F_a()})
-        cert = iota_check(b, chi(2, W("a")), 6, 1, lambda d: inner_a())
+        cert = iota_check(b, chi(2, W("a")), 6, inner_a())
         assert cert.equal
+
+    def test_columns_match_spanning_reference(self):
+        # by right linearity the indicator chi_u at g fails exactly when
+        # the constant at g does, and the constant comes first at each
+        # label, so both forms find the same first discrepancy
+        n, R = 2, 5
+        coefficients = [
+            (dual_coefficient(n, g), {IDENTITY: chi(n, g)}) for g in generators(n)
+        ] + [(tensor(chi(n, W("ab")), one() - chi(n, W("a"))), None)]
+        fs = [chi(n, u) for u in ball(n, 3) if len(u)]
+        cases = itertools.islice(
+            itertools.product(ball(n, 2), coefficients, fs), 0, None, 37
+        )
+        failing = 0
+        for delta, (F, inner), f in cases:
+            b = PairElement(n, {delta: F})
+            cert = iota_check(b, f, R, inner)
+            ref = spanning_iota_check(b, f, R, 1, lambda _d: inner)
+            assert (cert.equal, cert.first_discrepancy) == (
+                ref.equal, ref.first_discrepancy
+            ), (delta, F, f)
+            failing += not cert.equal
+        assert failing >= 10
 
 
 class TestLiftedShift:
@@ -258,7 +356,7 @@ class TestLiftedShift:
         # weight is the constant one
         xi = unit_at(IDENTITY)
         assert build_Vbar(2)(xi).is_zero()
-        assert inner_product(xi, build_Pbar(2)(xi)) == CrossedElement.one(2)
+        assert inner_product(xi, build_Pbar(2)(xi)) == unitary(2, IDENTITY)
 
     def test_wbar_reference_on_basis(self):
         out = build_Wbar(2, 4)(unit_at(W("b")))
@@ -278,21 +376,7 @@ class TestLiftedShift:
 
 
 class TestKernelProduct:
-    @staticmethod
-    def maps():
-        x = CrossedElement.monomial(chi(2, W("a")), W("b")) + CrossedElement.monomial(
-            chi(2, W("B")), IDENTITY
-        )
-        return [
-            op_tau_F(F_a(), inner_a()),
-            untwist_U(),
-            untwist_U_star(),
-            op_mult_label(chi(2, W("ab"))),
-            build_Vbar(2),
-            build_Pbar(2),
-            op_phi(x),
-            op_tau_gamma(W("a")),
-        ]
+    maps = staticmethod(kernel_maps)
 
     def test_product_is_composition(self):
         vecs = [xi for _, xi in spanning_vectors(2, 2, 1)]
@@ -302,7 +386,7 @@ class TestKernelProduct:
                 assert TS(xi) == T(S(xi)), (T.name, S.name, xi)
 
     def test_product_is_associative(self):
-        T, S, Q = build_Vbar(2), op_phi(CrossedElement.unitary(2, W("b"))), untwist_U()
+        T, S, Q = build_Vbar(2), op_phi(unitary(2, W("b"))), untwist_U()
         vecs = [xi for _, xi in spanning_vectors(2, 2, 1)]
         for xi in vecs:
             assert ((T @ S) @ Q)(xi) == (T @ (S @ Q))(xi) == T(S(Q(xi)))
