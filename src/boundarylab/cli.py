@@ -71,6 +71,8 @@ class SuiteConfig:
             raise DomainError(
                 f"rank must be at most {MAX_RANK}: generators print as the letters a..z"
             )
+        check_radius(self.radius)
+        check_depth(self.depth)
 
 
 @dataclass

@@ -4,13 +4,14 @@ A cylinder function is stored as the coarsest partition of its support
 into cylinders of mixed length: a table from each cell word to its
 nonzero value.  Construction merges every full sibling group with one
 value into its parent, deepest cells first, so the partition is unique
-and equality of objects is equality of functions.  The depth is the
-length of the deepest cell, the least d for which the function is
-constant on every cylinder of length d.  A product or a sum pairs the
-cells of its operands that are nested and splits a cell only where a
-cell of the other operand lies strictly below it, so its cost follows
-the cells that change rather than the sphere of the depth.  Reports
-render the uniform table at the depth, as `refine` does.
+and equality of objects is equality of functions.  The depth is read
+from the cells: it is the length of the deepest cell, the least d for
+which the function is constant on every cylinder of length d, and it
+must lie within the depth cap.  A product or a sum pairs the cells of
+its operands that are nested and splits a cell only where a cell of the
+other operand lies strictly below it, so its cost follows the cells that
+change rather than the sphere of the depth.  `refine(d)` returns the
+uniform table at a depth d, and reports render it at the depth.
 
 A two-variable function F = sum_u chi_u (x) g_u is the same partition of
 the first slot, with the nonzero one-variable function g_u of the second
@@ -18,6 +19,10 @@ slot as the value of cell u, so one cell engine serves both types: the
 slices of nested cells are added and multiplied by the memoized
 one-variable operations.  Its depths are the longest cell and the
 deepest slice.
+
+Translation by a group element maps each cell onto a disjoint union of
+image cells, and for both types every image cell takes the value of the
+cell it came from.
 
 The canonical extension of a cylinder function to group elements is zero
 on the ball below its depth; for two-variable functions the second-slot
@@ -74,30 +79,21 @@ class CylinderFunction:
 
     __slots__ = ("rank", "depth", "table", "_hash")
 
-    def __init__(self, rank: int, depth: int, table: Mapping[ReducedWord, Scalar]):
-        """`table` maps disjoint cylinders of length at most `depth` to values."""
-        check_depth(depth)
-        cells = _canonical_cells(rank, table)
+    def __init__(self, rank: int, table: Mapping[ReducedWord, Scalar]):
+        """`table` maps disjoint cylinders to values."""
         self.rank = rank
-        self.depth = max([len(w.letters) for w in cells], default=0)
-        if self.depth > depth:
-            raise DomainError(f"cell of length {self.depth} in a depth-{depth} table")
-        self.table = cells
-        self._hash = hash((rank, frozenset(cells.items())))
+        self.table, self.depth = _canonical_cells(rank, table)
+        self._hash = hash((rank, frozenset(self.table.items())))
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def constant(rank: int, value: Scalar) -> "CylinderFunction":
-        return CylinderFunction(rank, 0, {IDENTITY: value})
+        return CylinderFunction(rank, {IDENTITY: value})
 
     @staticmethod
     def zero(rank: int) -> "CylinderFunction":
-        return CylinderFunction(rank, 0, {})
-
-    @staticmethod
-    def indicator(rank: int, u: ReducedWord) -> "CylinderFunction":
-        return CylinderFunction(rank, len(u), {u: ONE})
+        return CylinderFunction(rank, {})
 
     # -- structure ---------------------------------------------------
 
@@ -117,29 +113,19 @@ class CylinderFunction:
     def __bool__(self) -> bool:
         return bool(self.table)
 
-    def refine(self, depth: int) -> "CylinderFunction":
-        """The same function tabulated on every cylinder of length `depth`."""
+    def refine(self, depth: int) -> Mapping[ReducedWord, Scalar]:
+        """The nonzero values on the cylinders of length `depth`, at least
+        the depth; the table itself when every cell has that length."""
         if depth < self.depth:
             raise DomainError(f"cannot refine depth {self.depth} down to {depth}")
         check_depth(depth)
-        tbl = self._uniform(depth)
-        if depth == self.depth and tbl is self.table:
-            return self
-        out = _Refined.__new__(_Refined)
-        out.rank, out.depth, out.table = self.rank, depth, tbl
-        out._hash, out.canonical = self._hash, self
-        return out
-
-    def _uniform(self, depth: int) -> Mapping[ReducedWord, Scalar]:
-        """The nonzero values on the cylinders of length `depth` >= every
-        cell; the table itself when every cell has that length."""
         if all(len(w.letters) == depth for w in self.table):
             return self.table
-        tbl = {}
-        for w, v in self.table.items():
-            for ext in word_extensions(w, depth - len(w.letters), self.rank):
-                tbl[ext] = v
-        return tbl
+        return {
+            ext: v
+            for w, v in self.table.items()
+            for ext in word_extensions(w, depth - len(w.letters), self.rank)
+        }
 
     # -- evaluation --------------------------------------------------
 
@@ -156,8 +142,7 @@ class CylinderFunction:
     # -- pointwise algebra -------------------------------------------
 
     def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
-        if self.rank != other.rank:
-            raise DomainError("rank mismatch")
+        _common_rank(self, other)
         a, b = (self, other) if self._hash <= other._hash else (other, self)
         return _cached_sum(a, b)
 
@@ -165,36 +150,28 @@ class CylinderFunction:
         return self + (-other)
 
     def __neg__(self) -> "CylinderFunction":
-        return CylinderFunction(self.rank, self.depth, {w: -v for w, v in self.table.items()})
+        return CylinderFunction(self.rank, {w: -v for w, v in self.table.items()})
 
     def __mul__(self, other: "CylinderFunction") -> "CylinderFunction":
-        if self.rank != other.rank:
-            raise DomainError("rank mismatch")
+        _common_rank(self, other)
         a, b = (self, other) if self._hash <= other._hash else (other, self)
         return _cached_product(a, b)
 
     def scale(self, c: Scalar) -> "CylinderFunction":
-        return CylinderFunction(self.rank, self.depth, {w: c * v for w, v in self.table.items()})
+        return CylinderFunction(self.rank, {w: c * v for w, v in self.table.items()})
 
     def star(self) -> "CylinderFunction":
-        return CylinderFunction(self.rank, self.depth, {w: v.conj() for w, v in self.table.items()})
+        return CylinderFunction(self.rank, {w: v.conj() for w, v in self.table.items()})
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{w}:{v}" for w, v in _shortlex(self._uniform(self.depth)))
+        body = ", ".join(f"{w}:{v}" for w, v in _shortlex(self.refine(self.depth)))
         return f"Cyl(n={self.rank}, d={self.depth}, {{{body}}})"
 
 
-class _Refined(CylinderFunction):
-    """A function tabulated at a uniform depth above its own; it compares
-    and hashes as the canonical function it came from."""
-
-    __slots__ = ("canonical",)
-
-    def __eq__(self, other) -> bool:
-        return self.canonical == other
-
-    def __hash__(self) -> int:
-        return self._hash
+def _common_rank(f, g) -> int:
+    if f.rank != g.rank:
+        raise DomainError("rank mismatch")
+    return f.rank
 
 
 def _shortlex(table: Mapping[ReducedWord, Scalar]) -> list[tuple[ReducedWord, Scalar]]:
@@ -210,11 +187,16 @@ def _shortlex(table: Mapping[ReducedWord, Scalar]) -> list[tuple[ReducedWord, Sc
 Cell = Scalar | CylinderFunction
 
 
-def _canonical_cells(rank: int, table: Mapping[ReducedWord, Cell]) -> dict[ReducedWord, Cell]:
-    """The coarsest partition of the support of a disjoint table."""
+def _canonical_cells(
+    rank: int, table: Mapping[ReducedWord, Cell]
+) -> tuple[dict[ReducedWord, Cell], int]:
+    """The coarsest partition of the support of a disjoint table, and the
+    length of its deepest cell, which must lie within the depth cap."""
     cells = {w: v for w, v in table.items() if v}
     _merge_siblings(rank, cells)
-    return cells
+    depth = max([len(w.letters) for w in cells], default=0)
+    check_depth(depth)
+    return cells, depth
 
 
 def _merge_siblings(rank: int, cells: dict[ReducedWord, Cell]) -> None:
@@ -325,43 +307,52 @@ def _cell_at(table: Mapping[ReducedWord, Cell], x: ReducedWord) -> Cell | None:
 
 @lru_cache(maxsize=None)
 def _cached_sum(f: CylinderFunction, g: CylinderFunction) -> CylinderFunction:
-    return CylinderFunction(f.rank, max(f.depth, g.depth), _plain_add(f.rank, f.table, g.table))
+    return CylinderFunction(f.rank, _plain_add(f.rank, f.table, g.table))
 
 
 @lru_cache(maxsize=None)
 def _cached_product(f: CylinderFunction, g: CylinderFunction) -> CylinderFunction:
-    return CylinderFunction(f.rank, max(f.depth, g.depth), _plain_mul(f.table, g.table))
+    return CylinderFunction(f.rank, _plain_mul(f.table, g.table))
 
 
 def chi(rank: int, gamma: ReducedWord) -> CylinderFunction:
     """Indicator of the cylinder of boundary points beginning with gamma."""
     if gamma == IDENTITY:
         raise DomainError("chi is only defined for nontrivial words")
-    return CylinderFunction.indicator(rank, gamma)
+    return CylinderFunction(rank, {gamma: ONE})
 
 
 @lru_cache(maxsize=None)
-def _translate_indicator(gamma: ReducedWord, w: ReducedWord, n: int) -> CylinderFunction:
-    """Image of the cylinder at w under the shift by gamma, as a function.
+def _translate_indicator(gamma: ReducedWord, w: ReducedWord, n: int) -> tuple[ReducedWord, ...]:
+    """The disjoint cells whose union is the image of the cylinder at w
+    under the shift by gamma.
 
     Unless gamma swallows all of w, the image is the single cylinder at
     their product.  Otherwise the image is a union of sibling cylinders
     one level up, handled by recursing on the shortened gamma.
     """
     if not len(w):
-        return CylinderFunction.constant(n, ONE)
+        return (IDENTITY,)
     prod = multiply(gamma, w)
     cancelled = (len(gamma) + len(w) - len(prod)) // 2
     if cancelled < len(w):
-        return CylinderFunction.indicator(n, prod)
+        return (prod,)
     g1 = gamma.prefix(len(gamma) - len(w))
     blocked = w.letters[-1].inverse()
-    total = CylinderFunction.zero(n)
-    for step in sphere(n, 1):
-        if step.letters[0] == blocked:
-            continue
-        total = total + _translate_indicator(g1, step, n)
-    return total
+    return tuple(
+        cell
+        for step in sphere(n, 1)
+        if step.letters[0] != blocked
+        for cell in _translate_indicator(g1, step, n)
+    )
+
+
+def _translate_cells(
+    gamma: ReducedWord, table: Mapping[ReducedWord, Cell], n: int
+) -> dict[ReducedWord, Cell]:
+    """Images of disjoint cells are disjoint, so each image cell takes the
+    value of the cell it came from."""
+    return {w: v for u, v in table.items() for w in _translate_indicator(gamma, u, n)}
 
 
 @lru_cache(maxsize=None)
@@ -369,10 +360,7 @@ def translate(gamma: ReducedWord, f: CylinderFunction) -> CylinderFunction:
     """The function a -> f(gamma^-1 a); the covariant boundary action."""
     if gamma == IDENTITY:
         return f
-    total = CylinderFunction.zero(f.rank)
-    for w, c in f.table.items():
-        total = total + _translate_indicator(gamma, w, f.rank).scale(c)
-    return total
+    return CylinderFunction(f.rank, _translate_cells(gamma, f.table, f.rank))
 
 
 class BiCylinderFunction:
@@ -382,23 +370,16 @@ class BiCylinderFunction:
 
     __slots__ = ("rank", "depth1", "depth2", "table", "_hash")
 
-    def __init__(self, rank: int, depth1: int, depth2: int, table: Mapping[ReducedWord, CylinderFunction]):
-        """`table` maps disjoint first-slot cylinders of length at most
-        `depth1` to second-slot functions of depth at most `depth2`."""
-        check_depth(depth1)
-        check_depth(depth2)
-        cells = _canonical_cells(rank, table)
+    def __init__(self, rank: int, table: Mapping[ReducedWord, CylinderFunction]):
+        """`table` maps disjoint first-slot cylinders to second-slot functions."""
         self.rank = rank
-        self.depth1 = max([len(u.letters) for u in cells], default=0)
-        self.depth2 = max([g.depth for g in cells.values()], default=0)
-        if self.depth1 > depth1 or self.depth2 > depth2:
-            raise DomainError(f"cells of depths ({self.depth1},{self.depth2}) above ({depth1},{depth2})")
-        self.table = cells
-        self._hash = hash((rank, frozenset(cells.items())))
+        self.table, self.depth1 = _canonical_cells(rank, table)
+        self.depth2 = max([g.depth for g in self.table.values()], default=0)
+        self._hash = hash((rank, frozenset(self.table.items())))
 
     @staticmethod
     def zero(rank: int) -> "BiCylinderFunction":
-        return BiCylinderFunction(rank, 0, 0, {})
+        return BiCylinderFunction(rank, {})
 
     def __eq__(self, other) -> bool:
         return (
@@ -414,18 +395,11 @@ class BiCylinderFunction:
         return not self.table
 
     def _map(self, op) -> "BiCylinderFunction":
-        cells = {u: op(g) for u, g in self.table.items()}
-        return BiCylinderFunction(self.rank, self.depth1, self.depth2, cells)
-
-    def _combine(self, other: "BiCylinderFunction", cells) -> "BiCylinderFunction":
-        """The sum or product of two functions of one rank, from its cells."""
-        if self.rank != other.rank:
-            raise DomainError("rank mismatch")
-        d1, d2 = max(self.depth1, other.depth1), max(self.depth2, other.depth2)
-        return BiCylinderFunction(self.rank, d1, d2, cells)
+        return BiCylinderFunction(self.rank, {u: op(g) for u, g in self.table.items()})
 
     def __add__(self, other: "BiCylinderFunction") -> "BiCylinderFunction":
-        return self._combine(other, _plain_add(self.rank, self.table, other.table))
+        n = _common_rank(self, other)
+        return BiCylinderFunction(n, _plain_add(n, self.table, other.table))
 
     def __sub__(self, other: "BiCylinderFunction") -> "BiCylinderFunction":
         return self + (-other)
@@ -434,7 +408,7 @@ class BiCylinderFunction:
         return self._map(lambda g: -g)
 
     def __mul__(self, other: "BiCylinderFunction") -> "BiCylinderFunction":
-        return self._combine(other, _plain_mul(self.table, other.table))
+        return BiCylinderFunction(_common_rank(self, other), _plain_mul(self.table, other.table))
 
     def star(self) -> "BiCylinderFunction":
         return self._map(lambda g: g.star())
@@ -448,9 +422,8 @@ class BiCylinderFunction:
         n = self.rank
         total = BiCylinderFunction.zero(n)
         for u, g in self.table.items():
-            total = total + BiCylinderFunction(
-                n, g.depth, len(u), {v: CylinderFunction(n, len(u), {u: c}) for v, c in g.table.items()}
-            )
+            cells = {v: CylinderFunction(n, {u: c}) for v, c in g.table.items()}
+            total = total + BiCylinderFunction(n, cells)
         return total
 
     def at_boundary(self, a: BoundaryPoint, b: BoundaryPoint) -> Scalar:
@@ -459,7 +432,7 @@ class BiCylinderFunction:
 
     def second_slice(self, v0: ReducedWord) -> CylinderFunction:
         """The first-slot cylinder function a -> F(a, C_v0), |v0| = depth2."""
-        return CylinderFunction(self.rank, self.depth1, {u: g.extend(v0) for u, g in self.table.items()})
+        return CylinderFunction(self.rank, {u: g.extend(v0) for u, g in self.table.items()})
 
     def vanishes_on_diagonal(self) -> bool:
         """True iff the function is supported away from the diagonal.
@@ -477,7 +450,7 @@ class BiCylinderFunction:
         """The nonzero values on the blocks of lengths (depth1, depth2)."""
         out = {}
         for u, g in self.table.items():
-            column = g._uniform(self.depth2)
+            column = g.refine(self.depth2)
             for ue in word_extensions(u, self.depth1 - len(u.letters), self.rank):
                 for v, c in column.items():
                     out[(ue, v)] = c
@@ -490,28 +463,19 @@ class BiCylinderFunction:
 
 
 def tensor(f: CylinderFunction, g: CylinderFunction) -> BiCylinderFunction:
-    if f.rank != g.rank:
-        raise DomainError("rank mismatch")
-    return BiCylinderFunction(f.rank, f.depth, g.depth, {u: g.scale(c) for u, c in f.table.items()})
+    return BiCylinderFunction(_common_rank(f, g), {u: g.scale(c) for u, c in f.table.items()})
 
 
 @lru_cache(maxsize=None)
 def translate_legs(
     F: BiCylinderFunction, gamma: ReducedWord, delta: ReducedWord
 ) -> BiCylinderFunction:
-    """Translate the first slot by gamma and the second by delta.  The
-    image of a cell is a union of cells of value 1, and images of disjoint
-    cells are disjoint, so each image cell carries the translated slice
-    of the cell it came from."""
+    """Translate the first slot by gamma and the second by delta: each
+    image cell carries the translated slice of the cell it came from."""
     if gamma == IDENTITY and delta == IDENTITY:
         return F
-    n = F.rank
-    tbl: dict[ReducedWord, CylinderFunction] = {}
-    for u, g in F.table.items():
-        tg = translate(delta, g)
-        for w in _translate_indicator(gamma, u, n).table:
-            tbl[w] = tg
-    return BiCylinderFunction(n, F.depth1 + len(gamma), F.depth2 + len(delta), tbl)
+    slices = {u: translate(delta, g) for u, g in F.table.items()}
+    return BiCylinderFunction(F.rank, _translate_cells(gamma, slices, F.rank))
 
 
 def translate_diag(gamma: ReducedWord, F: BiCylinderFunction) -> BiCylinderFunction:

@@ -203,6 +203,27 @@ class TestInputRules:
         assert main(["jv", "defect", "--gamma", "a", "--rank", "27"]) == 2
         assert "at most 26" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, work, message",
+        [
+            (["untwist", "check", "--depth", "-1"], "_untwist_records", "depth must be"),
+            (["verify", "--radius", "-3"], "_algebra_records", "radius must be"),
+            (["jv", "defect", "--gamma", "a", "--depth", "-4"], "equivariance_defect", "depth must be"),
+            (["oplab", "commutator", "--depth", "-2"], "lambda_rho_commute_check", "depth must be"),
+            (["verify", "--radius", "13"], "_algebra_records", "radius 13 exceeds"),
+            (["verify", "--depth", "9"], "_algebra_records", "depth 9 exceeds"),
+        ],
+        ids=["untwist-depth", "verify-radius", "jv-defect-depth", "oplab-depth", "radius-cap", "depth-cap"],
+    )
+    def test_radius_and_depth_checked_by_every_command(self, argv, work, message, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before radius and depth were checked")
+
+        monkeypatch.delenv("BDL_MAX_RADIUS", raising=False)
+        monkeypatch.setattr(cli, work, no_work)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestHelpers:
     def test_parse_mutation(self):

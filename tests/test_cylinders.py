@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarylab.config import DomainError
+from boundarylab.config import DomainError, ResourceLimitError
 from boundarylab.crossed import PairElement, _first_discrepancy_pair
 from boundarylab.cylinders import (
     BiCylinderFunction,
@@ -55,20 +55,19 @@ def indicators_depth_le(n, d):
 
 class TestRefineCanonical:
     def test_refine_constant(self):
-        f = const1().refine(2)
-        assert f.table == {w: ONE for w in sphere(2, 2)}
+        assert const1().refine(2) == {w: ONE for w in sphere(2, 2)}
 
     def test_refine_chi_a(self):
-        f = chi(2, W("a")).refine(2)
-        assert set(f.table) == {W("aa"), W("ab"), W("aB")}
+        tbl = chi(2, W("a")).refine(2)
+        assert set(tbl) == {W("aa"), W("ab"), W("aB")}
         # prefix-test oracle over all depth-2 words
         for w in sphere(2, 2):
             expected = ONE if w.letters[0] == W("a").letters[0] else ZERO
-            assert f.table.get(w, ZERO) == expected
+            assert tbl.get(w, ZERO) == expected
 
     def test_refine_roundtrip_canonical(self):
         for f in indicators_depth_le(2, 2):
-            refined = CylinderFunction(2, 3, f.refine(3).table)
+            refined = CylinderFunction(2, f.refine(3))
             assert refined == f
 
     def test_canonical_uniqueness_random(self):
@@ -79,8 +78,8 @@ class TestRefineCanonical:
         points = [B("(ab)"), B("(Ba)"), B("b(A)"), B("(aab)"), B("A(b)")]
         for _ in range(30):
             tbl = {w: Scalar.of(rng.randint(-1, 1)) for w in sphere(2, 2)}
-            f = CylinderFunction(2, 2, tbl)
-            g = CylinderFunction(2, 3, f.refine(3).table)
+            f = CylinderFunction(2, tbl)
+            g = CylinderFunction(2, f.refine(3))
             assert f == g
             for a in points:
                 assert f.at_boundary(a) == g.at_boundary(a)
@@ -99,14 +98,13 @@ class TestEqualityAcrossConstructors:
         f = chi(2, W("a"))
         self.assert_all_equal([
             f,
-            CylinderFunction.indicator(2, W("a")),
+            CylinderFunction(2, {W("a"): ONE}),
             parse_cylinder("chi(a)", 2),
             parse_cylinder("chi(aa) + chi(ab) + chi(aB)", 2),
-            CylinderFunction(2, 2, f.refine(2).table),
-            CylinderFunction(2, 3, {W(w): ONE for w in ("aa", "ab", "aBA", "aBa", "aBB")}),
-            f.refine(2),
-            f.refine(3),
-            f.refine(3).refine(4),
+            CylinderFunction(2, {W(w): ONE for w in ("aa", "ab", "aBA", "aBa", "aBB")}),
+            CylinderFunction(2, f.refine(2)),
+            CylinderFunction(2, f.refine(3)),
+            CylinderFunction(2, f.refine(4)),
         ])
 
     def test_constant(self):
@@ -115,9 +113,8 @@ class TestEqualityAcrossConstructors:
             one,
             parse_cylinder("1", 2),
             parse_cylinder("chi(a) + chi(A) + chi(b) + chi(B)", 2),
-            CylinderFunction(2, 1, {u: ONE for u in sphere(2, 1)}),
-            CylinderFunction(2, 2, one.refine(2).table),
-            one.refine(2),
+            CylinderFunction(2, {u: ONE for u in sphere(2, 1)}),
+            CylinderFunction(2, one.refine(2)),
         ])
 
     def test_mixed_cells(self):
@@ -125,22 +122,32 @@ class TestEqualityAcrossConstructors:
         self.assert_all_equal([
             f,
             parse_cylinder("1 - chi(ab)", 2),
-            CylinderFunction(2, 3, f.refine(3).table),
-            f.refine(2),
-            f.refine(3),
+            CylinderFunction(2, f.refine(2)),
+            CylinderFunction(2, f.refine(3)),
         ])
-        assert set(f.refine(2).table) == set(sphere(2, 2)) - {W("ab")}
-        assert f.refine(2).refine(2).table == f.refine(2).table
+        assert set(f.refine(2)) == set(sphere(2, 2)) - {W("ab")}
+        assert CylinderFunction(2, f.refine(2)).refine(2) == f.refine(2)
 
     def test_refined_arithmetic(self):
         f, g = chi(2, W("a")), const1() - chi(2, W("ab"))
-        assert f.refine(3) * g == f * g
-        assert f.refine(2) + g.refine(3) == f + g
-        assert translate(W("b"), f.refine(2)) == translate(W("b"), f)
+        assert CylinderFunction(2, f.refine(3)) * g == f * g
+        assert CylinderFunction(2, f.refine(2)) + CylinderFunction(2, g.refine(3)) == f + g
+        assert translate(W("b"), CylinderFunction(2, f.refine(2))) == translate(W("b"), f)
 
-    def test_cells_deeper_than_depth_rejected(self):
-        with pytest.raises(DomainError):
-            CylinderFunction(2, 1, {W("ab"): ONE})
+
+class TestDepthCap:
+    def test_cap_reads_image_cells(self):
+        # the image of the cylinder at a has cells of length 8 under
+        # bbbbbbbA, and is the cylinder at bbbbbbbba under bbbbbbbb
+        F = tensor(chi(2, W("a")), const1() - chi(2, W("a")))
+        image = translate_legs(F, W("bbbbbbbA"), IDENTITY)
+        assert image.depth1 == 8
+        for a, b in [(B("bbbbbbba(b)"), B("(b)")), (B("bbbbbbbb(a)"), B("(b)"))]:
+            assert image.at_boundary(a, b) == F.at_boundary(act(W("aBBBBBBB"), a), b)
+        with pytest.raises(ResourceLimitError):
+            translate(W("bbbbbbbb"), chi(2, W("a")))
+        with pytest.raises(ResourceLimitError):
+            translate_legs(F, W("bbbbbbbb"), IDENTITY)
 
 
 class TestPointwise:
@@ -443,7 +450,7 @@ def tabulate(n, cells, depth):
 
 def to_json_dict(f):
     """The nonzero values of f on the cylinders of its depth, in shortlex order."""
-    table = f.refine(f.depth).table
+    table = f.refine(f.depth)
     return {
         "depth": f.depth,
         "values": {
@@ -458,7 +465,7 @@ def agrees_with_reference(n, f, ref):
         repr(f) == ref_repr(n, ref)
         and to_json_dict(f) == ref_json(ref)
         and f.depth == ref[0]
-        and f == CylinderFunction(n, ref[0], ref[1])
+        and f == CylinderFunction(n, ref[1])
     )
 
 
@@ -474,7 +481,7 @@ def test_cells_match_uniform_reference(n, d1, d2, seed, gamma):
     rng = random.Random(seed)
     gamma = ReducedWord.parse(gamma)
     cells_f, cells_g = random_cells(rng, n, d1), random_cells(rng, n, d2)
-    f, g = CylinderFunction(n, d1, cells_f), CylinderFunction(n, d2, cells_g)
+    f, g = CylinderFunction(n, cells_f), CylinderFunction(n, cells_g)
     rf = ref_canonical(n, d1, tabulate(n, cells_f, d1))
     rg = ref_canonical(n, d2, tabulate(n, cells_g, d2))
     assert agrees_with_reference(n, f, rf)
@@ -560,7 +567,7 @@ class RefBi:
         return self.table.get((a.prefix(self.d1), b.prefix(self.d2)), ZERO)
 
     def second_slice(self, v0):
-        return CylinderFunction(self.n, self.d1, {u: c for (u, v), c in self.table.items() if v == v0})
+        return CylinderFunction(self.n, {u: c for (u, v), c in self.table.items() if v == v0})
 
     def vanishes_on_diagonal(self):
         return not any(is_initial(u, v) or is_initial(v, u) for u, v in self.table)
@@ -589,12 +596,12 @@ class RefBi:
         return f"BiCyl(n={self.n}, d=({self.d1},{self.d2}), {{{body}}})"
 
 
-def from_blocks(n, d1, d2, blocks):
+def from_blocks(n, blocks):
     """The cell form of a uniform block table, one first-slot cell per row."""
     rows = {}
     for (u, v), c in blocks.items():
         rows.setdefault(u, {})[v] = c
-    return BiCylinderFunction(n, d1, d2, {u: CylinderFunction(n, d2, row) for u, row in rows.items()})
+    return BiCylinderFunction(n, {u: CylinderFunction(n, row) for u, row in rows.items()})
 
 
 def random_blocks(rng, n, d1, d2):
@@ -610,7 +617,7 @@ def bi_agrees(n, F, ref):
         (F.depth1, F.depth2) == (ref.d1, ref.d2)
         and F.uniform_blocks() == ref.table
         and repr(F) == repr(ref)
-        and F == from_blocks(n, ref.d1, ref.d2, ref.table)
+        and F == from_blocks(n, ref.table)
     )
 
 
@@ -639,7 +646,7 @@ POINTS = {
 def test_bi_cells_match_uniform_reference(n, d1, d2, e1, e2, seed):
     rng = random.Random(seed)
     fb, gb = random_blocks(rng, n, d1, d2), random_blocks(rng, n, e1, e2)
-    F, G = from_blocks(n, d1, d2, fb), from_blocks(n, e1, e2, gb)
+    F, G = from_blocks(n, fb), from_blocks(n, gb)
     rF, rG = RefBi(n, d1, d2, fb), RefBi(n, e1, e2, gb)
     c = rng.choice(VALUES[1:])
     assert bi_agrees(n, F, rF)
@@ -691,7 +698,7 @@ def test_bi_translate_legs_matches_uniform_reference(scope, seed):
     n, d1, d2, gamma, delta = scope
     gamma, delta = W(gamma), W(delta)
     blocks = random_blocks(random.Random(seed), n, d1, d2)
-    F, ref = from_blocks(n, d1, d2, blocks), RefBi(n, d1, d2, blocks)
+    F, ref = from_blocks(n, blocks), RefBi(n, d1, d2, blocks)
     assert bi_agrees(n, translate_legs(F, gamma, delta), ref.translate_legs(gamma, delta))
 
 
@@ -699,23 +706,20 @@ def test_bi_translate_legs_matches_uniform_reference(scope, seed):
 @given(st.sampled_from([2, 3]), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**32))
 def test_bi_constructors_agree(n, d1, d2, seed):
     rng = random.Random(seed)
-    f = CylinderFunction(n, d1, random_cells(rng, n, d1))
-    g = CylinderFunction(n, d2, random_cells(rng, n, d2))
+    f = CylinderFunction(n, random_cells(rng, n, d1))
+    g = CylinderFunction(n, random_cells(rng, n, d2))
     T = tensor(f, g)
-    blocks = {
-        (u, v): a * b for u, a in f.refine(d1).table.items() for v, b in g.refine(d2).table.items()
-    }
+    blocks = {(u, v): a * b for u, a in f.refine(d1).items() for v, b in g.refine(d2).items()}
     block_sum = sum(
         (
-            tensor(CylinderFunction.indicator(n, u), CylinderFunction.indicator(n, v).scale(c))
+            tensor(CylinderFunction(n, {u: ONE}), CylinderFunction(n, {v: c}))
             for (u, v), c in blocks.items()
         ),
         BiCylinderFunction.zero(n),
     )
     # every cell split into its children, which merge back
     split = BiCylinderFunction(
-        n, T.depth1 + 1, T.depth2,
-        {w: h for u, h in T.table.items() for w in word_extensions(u, 1, n)},
+        n, {w: h for u, h in T.table.items() for w in word_extensions(u, 1, n)}
     )
-    for other in (block_sum, from_blocks(n, d1, d2, blocks), T.flip().flip(), split):
+    for other in (block_sum, from_blocks(n, blocks), T.flip().flip(), split):
         assert other == T and hash(other) == hash(T)
