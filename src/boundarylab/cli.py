@@ -1,10 +1,12 @@
 """Command line harness running the certified check suites.
 
-Every check produces a JSON-serializable record with a stable id, its
-parameters, and a pass flag plus certificate payload.  Reports are
-deterministic for a fixed configuration: records are emitted in a fixed
-order and contain no timing or environment data.  Wall-clock timing is
-shown in the human-readable summary only.
+Every check is an entry of one registry, `CHECKS`.  A suite first checks
+the radius limits of all its entries -- `operators` needs radius at
+least 4, `jv` 2 and `untwist` 1 -- and then runs them; the
+single-certificate commands apply the pass rule of their entry.  Reports
+are deterministic for a fixed configuration: records are sorted by id
+and contain no timing or environment data.  Wall-clock timing is shown
+in the human-readable summary only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import random
 import string
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass
+from itertools import product
+from operator import attrgetter
 
 from .config import DomainError, ResourceLimitError, check_depth, check_radius
 from .crossed import (
@@ -84,13 +89,9 @@ class Record:
     certificate: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "params": self.params,
-            "pass": self.passed,
-            "certificate": self.certificate,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass
@@ -105,11 +106,7 @@ class Report:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": {
-                "rank": self.config.rank,
-                "radius": self.config.radius,
-                "depth": self.config.depth,
-            },
+            "config": asdict(self.config),
             "pass": self.passed,
             "checks": [r.to_json_dict() for r in self.records],
         }
@@ -153,150 +150,133 @@ def _random_boundary_points(n: int, count: int, seed: int = 20_26) -> list[Bound
     return out
 
 
-# -- suite pieces ----------------------------------------------------
+# -- the registry of checks -----------------------------------------
 
-def _algebra_records(cfg: SuiteConfig) -> list[Record]:
-    n = cfg.rank
-    records = []
+Row = tuple[str, dict, bool, dict]  # check id, params, pass, certificate
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry entry: its suite, its anchor, the radius limits it
+    reads, and a runner that takes the rank n, radius R, depth d and
+    the flagship faults and yields the rows of its records.
+
+    The radius must be at least `floor`; radius R + `reach` must lie
+    under the cap; an entry with a `depth` translates at labels of
+    length R + depth, which must lie under the cylinder depth cap.
+    `rule`, where set, is the pass rule of one certificate, which the
+    runner and the matching single-certificate command both apply.
+    """
+
+    suite: str
+    anchor: str
+    run: Callable[[int, int, int, dict], Iterator[Row]]
+    floor: int = 0
+    reach: int = 0
+    depth: int | None = None
+    rule: Callable[..., bool] | None = None
+
+
+CHECKS: list[Check] = []
+
+
+def _check(suite: str, anchor: str, **limits) -> Callable[..., Check]:
+    """Register the decorated runner, in run order, as an entry."""
+
+    def register(run) -> Check:
+        CHECKS.append(Check(suite, anchor, run, **limits))
+        return CHECKS[-1]
+
+    return register
+
+
+@_check("algebra", "dual element partial-isometry relations")
+def _v_identities(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     for res in verify_v_identities(n):
-        records.append(
-            Record(
-                f"algebra.{res.check_id}.rank{n}",
-                "dual element partial-isometry relations",
-                {"rank": n},
-                res.passed,
-                res.to_json_dict(),
-            )
-        )
+        yield f"algebra.{res.check_id}.rank{n}", {"rank": n}, res.passed, res.to_json_dict()
+
+
+@_check("algebra", "coefficient conjugation matches the adjoint up to the projection")
+def _conjugate_flip(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     res = verify_conjugate_flip(n)
-    records.append(
-        Record(
-            f"algebra.conjugate-flip.rank{n}",
-            "coefficient conjugation matches the adjoint up to the projection",
-            {"rank": n},
-            res.passed,
-            res.to_json_dict(),
-        )
-    )
-
-    failures = 0
-    checked = 0
-    points = [
-        BoundaryPoint(IDENTITY, ReducedWord((letter,)))
-        for letter in (Letter(i, s) for i in range(n) for s in (1, -1))
-    ] + _random_boundary_points(n, 50)
-    for a in points:
-        for b in points[: 2 * n]:
-            if a == b:
-                continue
-            for g in sphere(n, 1):
-                checked += 1
-                if not geodesic_v_check(n, a, b, g).passed:
-                    failures += 1
-    records.append(
-        Record(
-            f"algebra.geodesic-support.rank{n}",
-            "dual coefficients detect two-sided geodesics through the origin",
-            {"rank": n, "pairs": checked},
-            failures == 0,
-            {"checked": checked, "failures": failures},
-        )
-    )
-    return records
+    yield f"algebra.conjugate-flip.rank{n}", {"rank": n}, res.passed, res.to_json_dict()
 
 
-def _operator_records(cfg: SuiteConfig) -> list[Record]:
-    n, R = cfg.rank, cfg.radius
-    records = []
-    one = CylinderFunction.constant(n, ONE)
-    fs = [one] + [chi(n, u) for u in sphere(n, 1)]
-    words = [IDENTITY] + list(sphere(n, 1))
-
-    certs = [
-        lambda_rho_commute_check(f, gamma, g, delta, R)
-        for f in fs
-        for gamma in words[: n + 1]
-        for g in fs
-        for delta in words[: n + 1]
+@_check("algebra", "dual coefficients detect two-sided geodesics through the origin")
+def _geodesic_support(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
+    points = [BoundaryPoint(IDENTITY, g) for g in sphere(n, 1)] + _random_boundary_points(n, 50)
+    verdicts = [
+        geodesic_v_check(n, a, b, g).passed
+        for a, b, g in product(points, points[: 2 * n], sphere(n, 1))
+        if a != b
     ]
-    failed = [c for c in certs if not c.within_bound]
+    checked, failures = len(verdicts), verdicts.count(False)
+    yield (
+        f"algebra.geodesic-support.rank{n}", {"rank": n, "pairs": checked},
+        failures == 0, {"checked": checked, "failures": failures},
+    )
+
+
+def _monomials(n: int) -> tuple[list[CylinderFunction], list[ReducedWord]]:
+    """The functions 1, chi(a), chi(A), ... and the first n + 1 words 1, a, A, ..."""
+    fs = [CylinderFunction.constant(n, ONE)] + [chi(n, u) for u in sphere(n, 1)]
+    return fs, ([IDENTITY] + sphere(n, 1))[: n + 1]
+
+
+@_check("operators", "left and right covariant monomials commute up to finite support",
+        floor=4, rule=attrgetter("within_bound"))
+def _commutation(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
+    fs, words = _monomials(n)
+    certs = [lambda_rho_commute_check(*m, R) for m in product(fs, words, fs, words)]
+    failed = [c for c in certs if not _commutation.rule(c)]
     witness = failed[0] if failed else max(certs, key=lambda c: c.support_radius)
-    records.append(
-        Record(
-            "operators.left-right-commutation",
-            "left and right covariant monomials commute up to finite support",
-            {"rank": n, "radius": R, "pairs": len(certs)},
-            not failed,
-            witness.to_json_dict(),
-        )
-    )
+    params = {"rank": n, "radius": R, "pairs": len(certs)}
+    yield "operators.left-right-commutation", params, not failed, witness.to_json_dict()
 
+
+@_check("operators", "conjugating by the inversion involution swaps the two representations")
+def _inversion_symmetry(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
+    fs, words = _monomials(n)
     sym_ok = all(
-        conjugation_symmetry_check(f, gamma, g, delta, R)
-        for f in fs[:2]
-        for gamma in words[: n + 1]
-        for g in fs[:2]
-        for delta in words[: n + 1]
+        conjugation_symmetry_check(*m, R) for m in product(fs[:2], words, fs[:2], words)
     )
-    records.append(
-        Record(
-            "operators.inversion-symmetry",
-            "conjugating by the inversion involution swaps the two representations",
-            {"rank": n, "radius": R},
-            sym_ok,
-            {},
-        )
-    )
+    yield "operators.inversion-symmetry", {"rank": n, "radius": R}, sym_ok, {}
 
+
+@_check("operators", "smallest multiplication commutator is rank one with entry -1")
+def _commutator_witness(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     a = ReducedWord.parse("a")
     wit = commutator(op_mult(chi(n, a), R), op_right(n, a, R))
     cert = support_certificate(wit, R - 1, "commutator witness")
-    entry = wit.entry(IDENTITY, a)
-    records.append(
-        Record(
-            "operators.commutator-witness",
-            "smallest multiplication commutator is rank one with entry -1",
-            {"rank": n, "radius": R},
-            cert.rank == 1 and str(entry) == "-1",
-            cert.to_json_dict(),
-        )
-    )
-    return records
+    passed = cert.rank == 1 and str(wit.entry(IDENTITY, a)) == "-1"
+    yield "operators.commutator-witness", {"rank": n, "radius": R}, passed, cert.to_json_dict()
 
 
-def _jv_records(cfg: SuiteConfig) -> list[Record]:
-    n, R = cfg.rank, cfg.radius
-    records = []
+@_check("jv", "the parent-edge operator has index one at every radius", reach=1)
+def _parent_edge_index(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     idx = {r: index_b(n, r) for r in range(3, R + 2)}
-    records.append(
-        Record(
-            "jv.parent-edge-index",
-            "the parent-edge operator has index one at every radius",
-            {"rank": n, "radii": sorted(idx)},
-            all(v == 1 for v in idx.values()),
-            {"indices": {str(k): v for k, v in sorted(idx.items())}},
-        )
+    yield (
+        "jv.parent-edge-index", {"rank": n, "radii": sorted(idx)},
+        all(v == 1 for v in idx.values()), {"indices": {str(k): v for k, v in idx.items()}},
     )
 
-    defects_ok = True
-    payload = {}
-    for g in sphere(n, 1):
-        cert = equivariance_defect(n, g, max(R, 3))
-        payload[str(g)] = cert.rank
-        defects_ok = defects_ok and cert.rank == 1
-    records.append(
-        Record(
-            "jv.translation-defect",
-            "conjugating the parent-edge operator by a generator has rank-one defect",
-            {"rank": n, "radius": max(R, 3)},
-            defects_ok,
-            {"ranks": payload},
-        )
+
+@_check("jv", "conjugating the parent-edge operator by a generator has rank-one defect",
+        rule=lambda cert, gamma: cert.rank == len(gamma))
+def _translation_defect(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
+    R = max(R, 3)
+    certs = {g: equivariance_defect(n, g, R) for g in sphere(n, 1)}
+    yield (
+        "jv.translation-defect", {"rank": n, "radius": R},
+        all(_translation_defect.rule(c, g) for g, c in certs.items()),
+        {"ranks": {str(g): c.rank for g, c in certs.items()}},
     )
 
+
+@_check("jv", "folded and closed-form directed shifts agree and keep index one")
+def _directed_shift(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     rays = _random_boundary_points(n, 6)
-    agree = True
-    windex = True
+    agree = windex = True
     for a in rays:
         try:
             op_W(a, n, R)
@@ -304,115 +284,70 @@ def _jv_records(cfg: SuiteConfig) -> list[Record]:
             agree = False
             continue
         windex = windex and index_W(a, n, R) == 1
-    records.append(
-        Record(
-            "jv.directed-shift",
-            "folded and closed-form directed shifts agree and keep index one",
-            {"rank": n, "radius": R, "rays": len(rays)},
-            agree and windex,
-            {"construction_agreement": agree, "index_one": windex},
-        )
+    yield (
+        "jv.directed-shift", {"rank": n, "radius": R, "rays": len(rays)},
+        agree and windex, {"construction_agreement": agree, "index_one": windex},
     )
 
-    const_ok = all(w_local_constancy(n, x, min(R, 3)).passed for x in ball(n, 2))
-    records.append(
-        Record(
-            "jv.shift-local-constancy",
-            "shift columns depend only on a bounded prefix of the direction",
-            {"rank": n, "radius": min(R, 3)},
-            const_ok,
-            {},
-        )
-    )
-    return records
+
+@_check("jv", "shift columns depend only on a bounded prefix of the direction", floor=2)
+def _shift_local_constancy(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
+    R = min(R, 3)
+    const_ok = all(w_local_constancy(n, x, R).passed for x in ball(n, 2))
+    yield "jv.shift-local-constancy", {"rank": n, "radius": R}, const_ok, {}
 
 
-def _untwist_records(cfg: SuiteConfig) -> list[Record]:
-    n, R, d = cfg.rank, cfg.radius, cfg.depth
-    records = []
-
-    thresholds = {}
-    decay_ok = True
+@_check("untwist", "the gap between block value and pointwise multiplication dies out")
+def _near_constancy_decay(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     fs = [chi(n, u) for u in sphere(n, 1)]
+    certs = []
     for gamma in sphere(n, 1):
-        F = dual_coefficient(n, gamma)
-        inner = {IDENTITY: chi(n, gamma)}
-        for f in fs:
-            cert = decay_check(F, f, R, inner)
-            thresholds[f"{gamma}|{f!r}"] = cert.threshold
-            decay_ok = decay_ok and cert.passed
-    records.append(
-        Record(
-            "untwist.near-constancy-decay",
-            "the gap between block value and pointwise multiplication dies out",
-            {"rank": n, "radius": R},
-            decay_ok,
-            {"max_threshold": max(thresholds.values(), default=0)},
-        )
+        F, inner = dual_coefficient(n, gamma), {IDENTITY: chi(n, gamma)}
+        certs += [decay_check(F, f, R, inner) for f in fs]
+    yield (
+        "untwist.near-constancy-decay", {"rank": n, "radius": R}, all(c.passed for c in certs),
+        {"max_threshold": max((c.threshold for c in certs), default=0)},
     )
 
-    iota_ok = True
-    first = None
-    inner = {IDENTITY: chi(n, ReducedWord.parse("a"))}
-    for gamma in [IDENTITY] + list(sphere(n, 1)):
-        b = PairElement(n, {gamma: dual_coefficient(n, ReducedWord.parse("a"))})
-        for f in fs[: n + 1]:
-            cert = iota_check(b, f, R, inner)
-            iota_ok = iota_ok and cert.equal
-            if first is None and not cert.equal:
-                first = cert.first_discrepancy
-    records.append(
-        Record(
-            "untwist.two-picture-agreement",
-            "second-leg scalar extension matches honest multiplication up to finite defect",
-            {"rank": n, "radius": R, "depth": min(d, 1)},
-            iota_ok,
-            {"first_discrepancy": first},
-        )
+
+@_check("untwist", "second-leg scalar extension matches honest multiplication up to finite defect",
+        floor=1)
+def _two_picture_agreement(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
+    a = ReducedWord.parse("a")
+    fs = [chi(n, u) for u in sphere(n, 1)][: n + 1]
+    inner = {IDENTITY: chi(n, a)}
+    certs = []
+    for gamma in [IDENTITY] + sphere(n, 1):
+        b = PairElement(n, {gamma: dual_coefficient(n, a)})
+        certs += [iota_check(b, f, R, inner) for f in fs]
+    first = next((c.first_discrepancy for c in certs if not c.equal), None)
+    yield (
+        "untwist.two-picture-agreement", {"rank": n, "radius": R, "depth": min(d, 1)},
+        all(c.equal for c in certs), {"first_discrepancy": first},
     )
 
+
+@_check("untwist", "the label-twisting unitary preserves all inner products")
+def _unitarity(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
+    R = min(R, 2)
     U = untwist_U()
-    unit_ok = True
-    vecs = [xi for _, xi in spanning_vectors(n, min(R, 2), 1)]
+    vecs = [xi for _, xi in spanning_vectors(n, R, 1)]
     images = [U(xi) for xi in vecs]
-    for xi, Uxi in zip(vecs, images):
-        for eta, Ueta in zip(vecs[: 2 * n + 1], images):
-            if inner_product(Uxi, Ueta) != inner_product(xi, eta):
-                unit_ok = False
-    records.append(
-        Record(
-            "untwist.unitarity",
-            "the label-twisting unitary preserves all inner products",
-            {"rank": n, "radius": min(R, 2), "depth": 1},
-            unit_ok,
-            {},
-        )
+    unit_ok = all(
+        inner_product(Uxi, Ueta) == inner_product(xi, eta)
+        for xi, Uxi in zip(vecs, images)
+        for eta, Ueta in zip(vecs[: 2 * n + 1], images)
     )
-    return records
+    yield "untwist.unitarity", {"rank": n, "radius": R, "depth": 1}, unit_ok, {}
 
 
-def _final_records(
-    cfg: SuiteConfig,
-    drop: ReducedWord | None = None,
-    perturb: ReducedWord | None = None,
-) -> list[Record]:
-    cert = final_identity_check(
-        cfg.rank, cfg.radius, cfg.depth, drop=drop, perturb=perturb
-    )
-    params = {"rank": cfg.rank, "radius": cfg.radius, "depth": cfg.depth}
-    if drop is not None:
-        params["drop"] = str(drop)
-    if perturb is not None:
-        params["perturb"] = str(perturb)
-    return [
-        Record(
-            "final.lift-equals-shift",
-            "the assembled lift coincides with the fiberwise tree shift",
-            params,
-            cert.equal,
-            cert.to_json_dict(),
-        )
-    ]
+@_check("all", "the assembled lift coincides with the fiberwise tree shift",
+        depth=1, rule=attrgetter("equal"))
+def _flagship(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
+    cert = final_identity_check(n, R, d, **faults)
+    params = {"rank": n, "radius": R, "depth": d}
+    params.update((kind, str(g)) for kind, g in faults.items() if g is not None)
+    yield "final.lift-equals-shift", params, _flagship.rule(cert), cert.to_json_dict()
 
 
 def run_suite(
@@ -421,27 +356,25 @@ def run_suite(
     drop: ReducedWord | None = None,
     perturb: ReducedWord | None = None,
 ) -> Report:
+    """Check the limits of every entry the suite selects, then run them."""
     cfg.validate()
     if suite not in SUITES:
         raise DomainError(f"unknown suite: {suite}")
-    if suite in ("jv", "all"):
-        check_radius(cfg.radius + 1)  # the jv index sweep reads radius R + 1
-        if cfg.radius < 2:  # the shift-constancy record reads labels of ball(n, 2)
-            raise DomainError(f"the jv suite needs radius at least 2, got {cfg.radius}")
-    if suite == "all":
-        check_depth(cfg.radius + 1)  # the flagship translates at labels of length R + 1
+    entries = [c for c in CHECKS if suite in (c.suite, "all")]
+    floor = max(c.floor for c in entries)
+    if cfg.radius < floor:
+        raise DomainError(f"the {suite} suite needs radius at least {floor}, got {cfg.radius}")
+    for c in entries:
+        check_radius(cfg.radius + c.reach)
+        if c.depth is not None:
+            check_depth(cfg.radius + c.depth)
     start = time.monotonic()
-    records: list[Record] = []
-    if suite in ("algebra", "all"):
-        records.extend(_algebra_records(cfg))
-    if suite in ("operators", "all"):
-        records.extend(_operator_records(cfg))
-    if suite in ("jv", "all"):
-        records.extend(_jv_records(cfg))
-    if suite in ("untwist", "all"):
-        records.extend(_untwist_records(cfg))
-    if suite == "all":
-        records.extend(_final_records(cfg, drop=drop, perturb=perturb))
+    faults = {"drop": drop, "perturb": perturb}
+    records = [
+        Record(check_id, c.anchor, params, passed, cert)
+        for c in entries
+        for check_id, params, passed, cert in c.run(cfg.rank, cfg.radius, cfg.depth, faults)
+    ]
     records.sort(key=lambda r: r.check_id)
     return Report(cfg, records, time.monotonic() - start)
 
@@ -492,18 +425,14 @@ def _parse_mutation(
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--radius", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--depth", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--json", metavar="PATH", default=argparse.SUPPRESS)
-
     parser = argparse.ArgumentParser(
         prog="boundarylab",
         description="exact certified checks for boundary crossed-product identities",
     )
-    parser.add_argument("--rank", type=int, default=2)
-    parser.add_argument("--radius", type=int, default=4)
-    parser.add_argument("--depth", type=int, default=2)
+    for name, default in asdict(SuiteConfig()).items():
+        common.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS)
+        parser.add_argument(f"--{name}", type=int, default=default)
+    common.add_argument("--json", metavar="PATH", default=argparse.SUPPRESS)
     parser.add_argument("--json", metavar="PATH", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -521,13 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jv = sub.add_parser("jv", help="tree cycle checks")
     jv_sub = p_jv.add_subparsers(dest="action", required=True)
-    jv_sub.add_parser("index", parents=[common])
+    jv_sub.add_parser("index", parents=[common]).set_defaults(suite="jv", mutate=None)
     p_def = jv_sub.add_parser("defect", parents=[common])
     p_def.add_argument("--gamma", default="a")
 
     p_un = sub.add_parser("untwist", help="module untwisting checks")
     un_sub = p_un.add_subparsers(dest="action", required=True)
-    un_sub.add_parser("check", parents=[common])
+    un_sub.add_parser("check", parents=[common]).set_defaults(suite="untwist", mutate=None)
 
     p_fin = sub.add_parser("final-identity", parents=[common], help="the flagship comparison")
     p_fin.add_argument("--mutate", default=None, help="drop:G or perturb:G, G a generator")
@@ -539,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = SuiteConfig(rank=args.rank, radius=args.radius, depth=args.depth)
     try:
         cfg.validate()
-        if args.command == "verify":
+        if "suite" in args:  # verify, jv index and untwist check
             drop, perturb = _parse_mutation(args.mutate, cfg.rank)
             return _emit(run_suite(cfg, args.suite, drop=drop, perturb=perturb), args.json)
         if args.command == "oplab":
@@ -548,21 +477,17 @@ def main(argv: list[str] | None = None) -> int:
             cert = lambda_rho_commute_check(
                 f, gamma, CylinderFunction.constant(cfg.rank, ONE), IDENTITY, cfg.radius
             )
-            return _emit_certificate(cert, cert.within_bound, args.json)
+            return _emit_certificate(cert, _commutation.rule(cert), args.json)
         if args.command == "jv":
-            if args.action == "index":
-                return _emit(run_suite(cfg, "jv"), args.json)
             gamma = parse_word(args.gamma, cfg.rank)
             cert = equivariance_defect(cfg.rank, gamma, cfg.radius)
-            return _emit_certificate(cert, cert.rank <= len(gamma), args.json)
-        if args.command == "untwist":
-            return _emit(run_suite(cfg, "untwist"), args.json)
+            return _emit_certificate(cert, _translation_defect.rule(cert, gamma), args.json)
         if args.command == "final-identity":
             drop, perturb = _parse_mutation(args.mutate, cfg.rank)
             cert = final_identity_check(
                 cfg.rank, cfg.radius, cfg.depth, drop=drop, perturb=perturb
             )
-            return _emit_certificate(cert, cert.equal, args.json)
+            return _emit_certificate(cert, _flagship.rule(cert), args.json)
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from boundarylab import cli, crossed, modules, operators
 from boundarylab.cli import (
+    SUITES,
     SuiteConfig,
     _parse_mutation,
     _random_boundary_points,
@@ -13,6 +15,8 @@ from boundarylab.cli import (
 )
 from boundarylab.config import DomainError
 from boundarylab.operators import SupportCertificate
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestRunSuite:
@@ -53,7 +57,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(crossed, "tensor", counted)
         crossed.dual_coefficient.cache_clear()
-        cli._algebra_records(SuiteConfig(rank=4))
+        run_suite(SuiteConfig(rank=4), "algebra")
         assert 0 < len(calls) <= 2 * 4
 
     def test_mutated_suite_fails(self):
@@ -159,6 +163,14 @@ class TestExitCodes:
         )
         assert main(["jv", "defect", "--gamma", "a", "--radius", "4"]) == 1
 
+    def test_jv_defect_exit_one_below_length(self, monkeypatch, capsys):
+        # the rule is rank == |gamma|, as in the jv.translation-defect record
+        monkeypatch.setattr(
+            cli, "equivariance_defect",
+            lambda n, g, R: SupportCertificate("stub", 2, len(g) - 1, R),
+        )
+        assert main(["jv", "defect", "--gamma", "a", "--radius", "4"]) == 1
+
     def test_certificate_written_to_json_path(self, tmp_path, capsys):
         path = tmp_path / "cert.json"
         assert main(["jv", "defect", "--gamma", "a", "--radius", "4", "--json", str(path)]) == 0
@@ -206,12 +218,12 @@ class TestInputRules:
     @pytest.mark.parametrize(
         "argv, work, message",
         [
-            (["untwist", "check", "--depth", "-1"], "_untwist_records", "depth must be"),
-            (["verify", "--radius", "-3"], "_algebra_records", "radius must be"),
+            (["untwist", "check", "--depth", "-1"], "decay_check", "depth must be"),
+            (["verify", "--radius", "-3"], "verify_v_identities", "radius must be"),
             (["jv", "defect", "--gamma", "a", "--depth", "-4"], "equivariance_defect", "depth must be"),
             (["oplab", "commutator", "--depth", "-2"], "lambda_rho_commute_check", "depth must be"),
-            (["verify", "--radius", "13"], "_algebra_records", "radius 13 exceeds"),
-            (["verify", "--depth", "9"], "_algebra_records", "depth 9 exceeds"),
+            (["verify", "--radius", "13"], "verify_v_identities", "radius 13 exceeds"),
+            (["verify", "--depth", "9"], "verify_v_identities", "depth 9 exceeds"),
         ],
         ids=["untwist-depth", "verify-radius", "jv-defect-depth", "oplab-depth", "radius-cap", "depth-cap"],
     )
@@ -223,6 +235,23 @@ class TestInputRules:
         monkeypatch.setattr(cli, work, no_work)
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+class TestRegistry:
+    def test_check_ids_match_golden_report(self):
+        golden = json.loads((GOLDEN / "verify-all.json").read_text())
+        ids = [r.check_id for r in run_suite(SuiteConfig(), "all").records]
+        assert ids == [c["check_id"] for c in golden["checks"]]
+
+    def test_every_suite_selects_an_entry(self, monkeypatch):
+        stubbed = [
+            dataclasses.replace(c, run=lambda n, R, d, faults, c=c: iter([(c.anchor, {}, True, {})]))
+            for c in cli.CHECKS
+        ]
+        monkeypatch.setattr(cli, "CHECKS", stubbed)
+        for suite in SUITES:
+            assert run_suite(SuiteConfig(), suite).records, suite
+        assert len(run_suite(SuiteConfig(), "all").records) == len(stubbed)
 
 
 class TestHelpers:
@@ -278,12 +307,16 @@ class TestLimitsBeforeWork:
         assert main(argv) == 2
         assert "radius at least 2" in capsys.readouterr().err
 
-    def test_verify_all_radius_past_cap(self, monkeypatch, capsys):
-        # the jv radius is checked before the algebra suite, the first to run
-        def algebra_records(cfg):
+    @pytest.fixture
+    def no_algebra(self, monkeypatch):
+        """The algebra suite runs first; it must not start before the limit checks."""
+        def verify_v_identities(n):
             raise AssertionError("algebra suite ran before the limit check")
 
-        monkeypatch.setattr(cli, "_algebra_records", algebra_records)
+        monkeypatch.setattr(cli, "verify_v_identities", verify_v_identities)
+
+    def test_verify_all_radius_past_cap(self, no_algebra, capsys):
+        # the jv radius is checked before the algebra suite, the first to run
         assert main(["verify", "--suite", "all", "--radius", "12"]) == 2
         assert "radius 13" in capsys.readouterr().err
 
@@ -296,10 +329,20 @@ class TestLimitsBeforeWork:
         assert main(["final-identity", "--rank", "2", "--radius", "8"]) == 2
         assert "cylinder depth 9 exceeds the configured bound 8" in capsys.readouterr().err
 
-    def test_verify_all_depth_past_cap(self, monkeypatch, capsys):
-        def algebra_records(cfg):
-            raise AssertionError("algebra suite ran before the depth check")
-
-        monkeypatch.setattr(cli, "_algebra_records", algebra_records)
+    def test_verify_all_depth_past_cap(self, no_algebra, capsys):
         assert main(["verify", "--suite", "all", "--radius", "8"]) == 2
         assert "cylinder depth 9" in capsys.readouterr().err
+
+    def test_verify_all_below_operators_floor(self, no_algebra, capsys):
+        # the commutation record needs radius 4 for monomials of depth+length 2
+        assert main(["verify", "--suite", "all", "--radius", "3"]) == 2
+        assert "the all suite needs radius at least 4, got 3" in capsys.readouterr().err
+
+    def test_untwist_below_floor(self, monkeypatch, capsys):
+        # the two-picture record reads labels of radius R - 1
+        def decay_check(*args):
+            raise AssertionError("decay record ran before the radius floor")
+
+        monkeypatch.setattr(cli, "decay_check", decay_check)
+        assert main(["verify", "--suite", "untwist", "--radius", "0"]) == 2
+        assert "the untwist suite needs radius at least 1, got 0" in capsys.readouterr().err

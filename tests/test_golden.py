@@ -12,6 +12,17 @@ read, and the rank-3 `all` one by `boundarylab verify --suite all --rank 3
 and rank-6 `algebra` ones by `boundarylab verify --suite algebra --rank N
 --json` before two-variable functions became cell partitions; a
 deliberate change to a report regenerates them with the same commands.
+
+The outputs of the single-certificate commands and of the remaining
+suites were written, each with `--json PATH`, before the checks became
+one registry:
+
+    boundarylab oplab commutator
+    boundarylab jv defect --gamma aB --radius 6
+    boundarylab final-identity --radius 3 --depth 1
+    boundarylab final-identity --radius 3 --depth 1 --mutate drop:b
+    boundarylab untwist check
+    boundarylab verify --suite operators
 """
 
 from pathlib import Path
@@ -71,3 +82,24 @@ def test_algebra_report_matches_golden(rank, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "algebra", "--rank", str(rank), "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"verify-algebra-rank{rank}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("oplab-commutator.json", ["oplab", "commutator"], 0),
+        ("jv-defect-aB-radius6.json", ["jv", "defect", "--gamma", "aB", "--radius", "6"], 0),
+        ("final-identity-radius3-depth1.json", ["final-identity", "--radius", "3", "--depth", "1"], 0),
+        (
+            "final-identity-radius3-depth1-drop-b.json",
+            ["final-identity", "--radius", "3", "--depth", "1", "--mutate", "drop:b"],
+            1,
+        ),
+        ("untwist-check.json", ["untwist", "check"], 0),
+        ("verify-operators.json", ["verify", "--suite", "operators"], 0),
+    ],
+)
+def test_command_output_matches_golden(name, argv, code, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--json", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
