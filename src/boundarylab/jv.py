@@ -34,6 +34,7 @@ from functools import lru_cache
 from .config import DomainError, ResourceLimitError, check_radius
 from .cylinders import CylinderFunction, chi
 from .operators import (
+    Basis,
     Column,
     SupportCertificate,
     TruncatedOperator,
@@ -47,32 +48,56 @@ from .scalars import ONE, Scalar
 from .words import BoundaryPoint, Letter, ReducedWord, ball, is_initial, multiply
 
 
-@dataclass(frozen=True)
 class Edge:
-    """An unordered tree edge, stored by its endpoint farther from the origin."""
+    """An unordered tree edge, stored by its endpoint farther from the origin.
 
-    far: ReducedWord
+    Immutable; equal and hashed as its far word, and its norm (the far
+    word's length) is stored, since operators read it for every entry.
+    """
 
-    def __post_init__(self):
-        if not len(self.far):
+    __slots__ = ("far", "norm")
+
+    def __init__(self, far: ReducedWord):
+        norm = len(far.letters)
+        if not norm:
             raise DomainError("origin has no parent edge")
+        _set_far(self, far)
+        _set_norm(self, norm)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Edge")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an Edge")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Edge:
+            return NotImplemented
+        return self.far == other.far
+
+    def __hash__(self) -> int:
+        return hash(self.far)
 
     @property
     def endpoints(self) -> tuple[ReducedWord, ReducedWord]:
         return (self.far.parent(), self.far)
 
-    @property
-    def norm(self) -> int:
-        return len(self.far)
+    def __repr__(self) -> str:
+        return f"Edge(far={self.far!r})"
 
     def __str__(self) -> str:
         near, far = self.endpoints
         return f"{{{near}, {far}}}"
 
 
+# Edge refuses attribute assignment, so its constructor stores through the
+# slot descriptors.
+_set_far, _set_norm = Edge.far.__set__, Edge.norm.__set__
+
+
 @lru_cache(maxsize=None)
-def edge_basis(n: int, R: int) -> tuple[Edge, ...]:
-    return tuple(Edge(x) for x in ball(n, R) if len(x))
+def edge_basis(n: int, R: int) -> Basis:
+    return Basis(Edge(x) for x in ball(n, R) if len(x))
 
 
 def translate_edge(gamma: ReducedWord, edge: Edge) -> Edge:
@@ -95,7 +120,7 @@ def _ray_prefix(a: BoundaryPoint | ReducedWord, R: int) -> ReducedWord:
 
 def _b_column(x: ReducedWord) -> tuple[tuple[Edge, Scalar], ...]:
     """b sends a vertex to its parent edge and kills the origin."""
-    return ((Edge(x), ONE),) if len(x) else ()
+    return ((Edge(x), ONE),) if x.letters else ()
 
 
 def _left_edge_column(gamma: ReducedWord) -> Column:
@@ -180,7 +205,7 @@ def op_U(a: BoundaryPoint | ReducedWord, n: int, R: int) -> TruncatedOperator:
 def op_W_closed_form(a: BoundaryPoint | ReducedWord, n: int, R: int) -> TruncatedOperator:
     """The directed shift: one step toward the origin on the ray to a,
     identity off the ray, zero at the origin."""
-    vertices = ball(n, R)
+    vertices = Basis(ball(n, R))
     return on_columns(vertices, _w_column(_ray_prefix(a, R)), R, 1, vertices)
 
 
@@ -206,9 +231,9 @@ def _last_shift(prefix: ReducedWord, n: int, R: int) -> TruncatedOperator:
 def w_column(prefix: ReducedWord, x: ReducedWord) -> ReducedWord | None:
     """Target vertex of the directed-shift column at x, given only the
     ray prefix to depth |x|; None means the column is zero."""
-    if not len(x):
+    if not x.letters:
         return None
-    if len(prefix) < len(x):
+    if len(prefix.letters) < len(x.letters):
         raise DomainError("prefix shorter than the column label")
     return x.parent() if is_initial(x, prefix) else x
 

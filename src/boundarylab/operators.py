@@ -11,6 +11,12 @@ Every concrete operator is a column rule (basis label to a short list of
 (row, value) pairs) applied by `on_columns`, the one constructor from
 labels; the only other way to make an operator is arithmetic on
 operators (`+`, `scale`, `@`, `adjoint`).
+
+A declared basis is a `Basis`: the ordered labels and their label set,
+built once.  Operators share their declared bases: one made by
+arithmetic takes the bases of its operands, and a column rule whose rows
+are declared on its own columns uses one basis for both.  Every
+operator still checks each entry against its declared bases.
 """
 
 from __future__ import annotations
@@ -31,8 +37,20 @@ Column = Callable[[Label], Iterable[tuple[Label, Scalar]]]
 def label_norm(label) -> int:
     """Distance of a basis label from the basepoint (word length)."""
     if isinstance(label, ReducedWord):
-        return len(label)
+        return len(label.letters)
     return label.norm  # edge labels carry their own norm
+
+
+class Basis(tuple):
+    """Ordered basis labels and their label set, shared by every operator
+    declared on them; a Basis passed where labels are expected is reused."""
+
+    def __new__(cls, labels: Iterable[Label] = ()):
+        if type(labels) is cls:
+            return labels
+        basis = super().__new__(cls, labels)
+        basis.labels = frozenset(basis)
+        return basis
 
 
 class TruncatedOperator:
@@ -48,9 +66,9 @@ class TruncatedOperator:
         radius: int,
         propagation: int | None = None,
     ):
-        self.domain = tuple(domain)
-        self.codomain = tuple(codomain)
-        dom, cod = set(self.domain), set(self.codomain)
+        self.domain = Basis(domain)
+        self.codomain = Basis(codomain)
+        dom, cod = self.domain.labels, self.codomain.labels
         self.entries = {}
         for (row, col), v in entries.items():
             if not v:
@@ -140,7 +158,7 @@ class TruncatedOperator:
 
     @staticmethod
     def identity(basis: Iterable[Label], radius: int) -> "TruncatedOperator":
-        basis = tuple(basis)
+        basis = Basis(basis)
         return on_columns(basis, lambda x: ((x, ONE),), radius, 0, basis)
 
 
@@ -161,6 +179,7 @@ def on_columns(
     truncated to rows of norm at most R.  Without a codomain it is
     declared on exactly the rows its columns reach, in first-reached order.
     """
+    columns = Basis(columns)
     entries = {}
     for c in columns:
         for row, v in column(c):
@@ -181,28 +200,28 @@ def left_column(gamma: ReducedWord) -> Column:
 @lru_cache(maxsize=None)
 def op_mult(f: CylinderFunction, R: int) -> TruncatedOperator:
     """Multiplication by the canonical group extension of f, on the ball."""
-    basis = ball(f.rank, R)
+    basis = Basis(ball(f.rank, R))
     return on_columns(basis, lambda x: ((x, f.extend(x)),), R, 0, basis)
 
 
 @lru_cache(maxsize=None)
 def op_mult_inverted(f: CylinderFunction, R: int) -> TruncatedOperator:
     """Multiplication by the extension of f composed with group inversion."""
-    basis = ball(f.rank, R)
+    basis = Basis(ball(f.rank, R))
     return on_columns(basis, lambda x: ((x, f.extend(x.inverse())),), R, 0, basis)
 
 
 @lru_cache(maxsize=None)
 def op_left(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
     """Left translation e_x -> e_{gamma x}, truncated to the ball."""
-    basis = ball(n, R)
+    basis = Basis(ball(n, R))
     return on_columns(basis, left_column(gamma), R, len(gamma), basis)
 
 
 @lru_cache(maxsize=None)
 def op_right(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
     """Right translation e_x -> e_{x gamma^-1}, truncated to the ball."""
-    basis = ball(n, R)
+    basis = Basis(ball(n, R))
     ginv = gamma.inverse()
     return on_columns(basis, lambda x: ((multiply(x, ginv), ONE),), R, len(gamma), basis)
 
@@ -210,7 +229,7 @@ def op_right(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
 @lru_cache(maxsize=None)
 def op_inversion(n: int, R: int) -> TruncatedOperator:
     """The self-adjoint involution e_x -> e_{x^-1} (a ball permutation)."""
-    basis = ball(n, R)
+    basis = Basis(ball(n, R))
     return on_columns(basis, lambda x: ((x.inverse(), ONE),), R, None, basis)
 
 
@@ -234,7 +253,7 @@ def exact_rank(rows: Iterable[Mapping[Label, Scalar]]) -> int:
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
         while row:
-            lead = min(row, key=colkey)
+            lead = next(iter(row)) if len(row) == 1 else min(row, key=colkey)
             if lead in pivots:
                 piv = pivots[lead]
                 factor = row[lead] / piv[lead]

@@ -5,6 +5,11 @@ shortlex order, eventually periodic boundary points with decidable
 equality, the left translation action on the boundary, and windows of
 the unique bi-infinite geodesic joining two boundary points.
 
+A ball is built once per rank, one sphere at a time: ball(n, R) is
+ball(n, R - 1) followed by the children, in letter order, of its last
+sphere, which is already shortlex order, so no sphere is ever sorted and
+every word of a rank is made once.  A sphere is a slice of its ball.
+
 Text syntax: generators are lowercase letters "a", "b", ...; their
 inverses are the corresponding uppercase letters; the identity is "1".
 A boundary point is written "head(period)", e.g. "ab(ba)".
@@ -61,7 +66,7 @@ class ReducedWord:
     def __init__(self, letters: Iterable[Letter] = ()):
         letters = tuple(letters)
         for x, y in zip(letters, letters[1:]):
-            if x == y.inverse():
+            if x.index == y.index and x.sign == -y.sign:
                 raise DomainError(f"word {letters} is not reduced")
         self.letters = letters
         self._hash = hash(letters)
@@ -149,7 +154,7 @@ def parse_word(text: str, n: int) -> ReducedWord:
 
 def is_initial(x: ReducedWord, y: ReducedWord) -> bool:
     """True iff x lies on the tree geodesic [e, y], i.e. y begins with x."""
-    return y.letters[: len(x)] == x.letters
+    return y.letters[: len(x.letters)] == x.letters
 
 
 def generators(n: int) -> list[ReducedWord]:
@@ -161,33 +166,39 @@ def generators(n: int) -> list[ReducedWord]:
 
 @lru_cache(maxsize=None)
 def _ball(n: int, R: int) -> tuple[ReducedWord, ...]:
-    out = [IDENTITY]
-    frontier = [IDENTITY]
-    letters = [l.letters[0] for l in generators(n)]
-    for _ in range(R):
-        nxt = []
-        for w in frontier:
-            for l in letters:
-                if w.letters and w.letters[-1] == l.inverse():
-                    continue
-                nxt.append(ReducedWord(w.letters + (l,)))
-        nxt.sort(key=ReducedWord.sort_key)
-        out.extend(nxt)
-        frontier = nxt
-    return tuple(out)
+    """ball(n, R - 1) and its children: a shortlex-sorted sphere's
+    children, taken word by word in letter order, are in shortlex order."""
+    if R == 0:
+        return (IDENTITY,)
+    inner = _ball(n, R - 1)
+    letters = [g.letters[0] for g in generators(n)]
+    grown = list(inner)
+    for w in inner[_sphere_start(n, R - 1):]:
+        back = _letter_inverse(w.letters[-1]) if w.letters else None
+        grown.extend(ReducedWord(w.letters + (l,)) for l in letters if l != back)
+    return tuple(grown)
+
+
+def _sphere_start(n: int, R: int) -> int:
+    """Position of the first word of length R in the shortlex ball."""
+    return len(_ball(n, R - 1)) if R else 0
+
+
+def _checked_ball(n: int, R: int) -> tuple[ReducedWord, ...]:
+    check_radius(R)
+    if n < 2:
+        raise DomainError(f"rank must be >= 2, got {n}")
+    return _ball(n, R)
 
 
 def ball(n: int, R: int) -> list[ReducedWord]:
     """All reduced words of length <= R in shortlex order."""
-    check_radius(R)
-    if n < 2:
-        raise DomainError(f"rank must be >= 2, got {n}")
-    return list(_ball(n, R))
+    return list(_checked_ball(n, R))
 
 
 def sphere(n: int, R: int) -> list[ReducedWord]:
     """All reduced words of length exactly R, in shortlex order."""
-    return [w for w in ball(n, R) if len(w) == R]
+    return list(_checked_ball(n, R)[_sphere_start(n, R):])
 
 
 def _primitive_root(w: tuple[Letter, ...]) -> tuple[Letter, ...]:

@@ -47,6 +47,24 @@ class TestEdges:
         with pytest.raises(DomainError):
             Edge(IDENTITY)
 
+    def test_equal_and_hashed_as_far_word(self):
+        e = Edge(W_("aB"))
+        assert e == Edge(W_("aB")) and e != Edge(W_("aBa"))
+        assert hash(e) == hash(Edge(W_("aB"))) == hash(W_("aB"))
+        assert e != W_("aB")
+        assert e.norm == 2 and Edge(W_("a")).norm == 1
+        assert len({Edge(W_("a")), Edge(W_("a")), Edge(W_("b"))}) == 2
+
+    def test_immutable(self):
+        e = Edge(W_("ab"))
+        with pytest.raises(AttributeError):
+            e.far = W_("a")
+        with pytest.raises(AttributeError):
+            e.norm = 5
+        with pytest.raises(AttributeError):
+            del e.far
+        assert e.far == W_("ab") and e.norm == 2
+
     def test_bijection_count(self):
         for R in (1, 2, 3):
             assert len(edge_basis(2, R)) == len(ball(2, R)) - 1

@@ -69,6 +69,38 @@ class TestBasicStructure:
         with pytest.raises(DomainError):
             TruncatedOperator(basis, basis, {(W("aa"), IDENTITY): ONE}, 1)
 
+    def test_column_rows_outside_codomain_rejected(self):
+        basis = ball(2, 1)
+        with pytest.raises(DomainError):
+            operators.on_columns(basis, lambda x: ((W("a"), ONE),), 1, 0, [W("b")])
+
+    def test_derived_operators_match_scratch_builds(self):
+        L = op_left(2, W("a"), 3)
+        M = op_mult(chi(2, W("b")), 3)
+        basis = tuple(ball(2, 3))
+        product = {}
+        for (row, mid), u in M.entries.items():
+            for (mid2, col), v in L.entries.items():
+                if mid == mid2:
+                    product[(row, col)] = product.get((row, col), ZERO) + u * v
+        sums = {k: L.entry(*k) + M.entry(*k) for k in set(L.entries) | set(M.entries)}
+        adjoint = {(col, row): v.conj() for (row, col), v in L.entries.items()}
+        for derived, entries in ((M @ L, product), (L + M, sums), (L.adjoint(), adjoint)):
+            scratch = TruncatedOperator(basis, basis, entries, 3)
+            assert derived == scratch
+            assert derived.domain == scratch.domain == basis
+            assert derived.codomain == scratch.codomain == basis
+            assert isinstance(derived.domain, tuple) and isinstance(derived.codomain, tuple)
+
+    def test_derived_operators_share_operand_bases(self):
+        L = op_left(2, W("a"), 3)
+        M = op_mult(chi(2, W("b")), 3)
+        assert L.domain is L.codomain
+        P = M @ L
+        assert P.domain is L.domain and P.codomain is M.codomain
+        assert (L + M).domain is L.domain and L.scale(ONE).codomain is L.codomain
+        assert L.adjoint().domain is L.codomain
+
     def test_mult_is_diagonal_with_extension_values(self):
         f = chi(2, W("a"))
         M = op_mult(f, 3)
@@ -117,6 +149,14 @@ class TestExactRank:
         entries = {(r, c): ONE for r in basis for c in basis}
         T = TruncatedOperator(basis, basis, entries, 1, 0)
         assert operator_rank(T) == 1
+
+    def test_single_entry_rows_need_no_ordering(self):
+        # rows with one entry take it as their lead; a later row with
+        # several entries still reduces against them
+        S = Scalar.of
+        assert exact_rank([{"x": S(2)}, {"y": ONE}, {"x": ONE, "y": S(3)}]) == 2
+        assert exact_rank([{"x": S(2)}, {"y": ONE}, {"x": ONE, "z": S(3)}]) == 3
+        assert exact_rank([{"x": ONE, "y": ONE}, {"y": ONE}, {"x": S(0, 1)}]) == 2
 
 
 class TestCommutators:

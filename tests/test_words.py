@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boundarylab.config import DomainError
 from boundarylab.words import (
@@ -240,6 +240,69 @@ class TestGeodesicMeetsBall:
                         m += 1
                     nearest = min(m, len(y))
                     assert nearest <= d
+
+
+def sorted_ball(n: int, R: int) -> list[ReducedWord]:
+    """Reference: every sphere built from the last one and then sorted."""
+    out = [IDENTITY]
+    frontier = [IDENTITY]
+    letters = [g.letters[0] for g in generators(n)]
+    for _ in range(R):
+        nxt = [
+            ReducedWord(w.letters + (l,))
+            for w in frontier
+            for l in letters
+            if not (w.letters and w.letters[-1] == l.inverse())
+        ]
+        nxt.sort(key=ReducedWord.sort_key)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def is_reduced(w: ReducedWord) -> bool:
+    return all(
+        not (x.index == y.index and x.sign == -y.sign)
+        for x, y in zip(w.letters, w.letters[1:])
+    )
+
+
+class TestGrownBall:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 5))
+    def test_matches_sorted_construction(self, n, R):
+        expected = sorted_ball(n, R)
+        got = ball(n, R)
+        assert len(got) == len(expected) == 1 + n * ((2 * n - 1) ** R - 1) // (n - 1)
+        assert got == expected
+
+    @pytest.mark.parametrize("n, R", [(2, 0), (2, 1), (2, 5), (3, 3), (4, 2)])
+    def test_sphere_is_last_shell_of_ball(self, n, R):
+        assert sphere(n, R) == [w for w in ball(n, R) if len(w) == R]
+
+    def test_sphere_checks_rank_and_radius(self):
+        from boundarylab.config import ResourceLimitError
+
+        with pytest.raises(DomainError):
+            sphere(1, 2)
+        with pytest.raises(ResourceLimitError):
+            sphere(2, 40)
+
+    def test_unreduced_letters_rejected(self):
+        a, A, b = Letter(0, 1), Letter(0, -1), Letter(1, 1)
+        with pytest.raises(DomainError):
+            ReducedWord((a, A))
+        with pytest.raises(DomainError):
+            ReducedWord((b, a, A))
+        assert ReducedWord((a, b, a)).letters == (a, b, a)
+
+    @given(letter_seqs, letter_seqs, st.integers(0, 10))
+    def test_word_operations_return_reduced_words(self, s, t, d):
+        x, y = reduce(s), reduce(t)
+        results = [x, y, multiply(x, y), x.inverse(), x.prefix(d)]
+        if len(x):
+            results.append(x.parent())
+        assert all(is_reduced(w) for w in results)
 
 
 def test_sphere_sizes():
