@@ -60,7 +60,7 @@ class _GroupSum:
         self.rank = rank
         self.terms = {k: F for k, F in terms.items() if not F.is_zero()}
         self._validate()
-        self._hash = hash((rank, frozenset(self.terms.items())))
+        self._hash = None
 
     @classmethod
     def zero(cls, rank: int):
@@ -81,6 +81,9 @@ class _GroupSum:
         return type(other) is type(self) and (self.rank, self.terms) == (other.rank, other.terms)
 
     def __hash__(self) -> int:
+        # computed on first use: most sums are built, compared and dropped
+        if self._hash is None:
+            self._hash = hash((self.rank, frozenset(self.terms.items())))
         return self._hash
 
     def is_zero(self) -> bool:

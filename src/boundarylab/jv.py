@@ -45,7 +45,7 @@ from .operators import (
     support_certificate,
 )
 from .scalars import ONE, Scalar
-from .words import BoundaryPoint, Letter, ReducedWord, ball, is_initial, multiply
+from .words import BoundaryPoint, Letter, ReducedWord, ball, is_initial, multiply, sphere
 
 
 class Edge:
@@ -97,7 +97,10 @@ _set_far, _set_norm = Edge.far.__set__, Edge.norm.__set__
 
 @lru_cache(maxsize=None)
 def edge_basis(n: int, R: int) -> Basis:
-    return Basis(Edge(x) for x in ball(n, R) if len(x))
+    """Parent edges of ball(n, R) in order: those of ball(n, R - 1), then the sphere's."""
+    if R == 0:
+        return Basis()
+    return Basis(edge_basis(n, R - 1) + tuple(Edge(x) for x in sphere(n, R)))
 
 
 def translate_edge(gamma: ReducedWord, edge: Edge) -> Edge:
@@ -153,9 +156,10 @@ def _fold(prefix: ReducedWord, columns) -> dict[tuple[ReducedWord, ReducedWord],
 
 @lru_cache(maxsize=None)
 def op_b(n: int, R: int) -> TruncatedOperator:
-    """Vertex-to-parent-edge operator; kills the origin vector."""
+    """Vertex-to-parent-edge operator, read off the edge basis; kills the origin vector."""
     check_radius(R)
-    return on_columns(ball(n, R), _b_column, R, 0, edge_basis(n, R))
+    edges = edge_basis(n, R)
+    return TruncatedOperator(ball(n, R), edges, {(e, e.far): ONE for e in edges}, R, 0)
 
 
 def op_left_vertices(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
@@ -255,8 +259,6 @@ def w_local_constancy(n: int, x: ReducedWord, R: int) -> LocalConstancyCertifica
     ray, from the closed form and from the fold of b, and as in op_W a
     mismatch between the two is a hard error.
     """
-    from .words import sphere
-
     check_radius(R)
     depth = max(len(x), 1)
     cases = 0

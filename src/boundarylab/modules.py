@@ -4,15 +4,17 @@ shift.
 
 A module vector is a finitely supported map from group elements to
 algebra elements.  Every module map here is right linear, so its kernel
-determines it: for each input label g, the column lists the output
-labels h and the left multiplier c . f . u_gamma placed at each.
-Applying a map is one loop over those columns, and composing two maps
-multiplies their kernels.
+determines it: for each input label g, the column holds one term per
+output label h and group element gamma, the left multiplier f . u_gamma
+(or c . u_gamma) placed at h.  A map sends the monomial F . u_k at g to
+the coefficients f . translate(gamma, F) keyed by (h, gamma k); applying
+it sums those images, and composing two maps multiplies their kernels.
 
 Because every map is right linear, its column at g -- the image of the
 constant function placed at g -- determines it, and two maps agree on
-a ball exactly when their columns there agree: `maps_agree` at spanning
-depth 0 and `iota_check` compare columns only.  The bounded-depth
+a ball exactly when their columns there agree.  `maps_agree` and
+`iota_check` compare the images of spanning monomials, with no module
+vector built; at depth 0 these are the columns.  The bounded-depth
 indicators of `spanning_vectors` add no information; a positive depth
 matters only where a gate counts the vectors checked.  Right linearity
 extends such a certificate to general coefficients with parameters in
@@ -41,6 +43,23 @@ from .words import IDENTITY, ReducedWord, ball, multiply, sphere
 # One kernel term (h, c, f, gamma): the multiplier c . f . u_gamma placed
 # at output label h, where f is None for the constant function 1.
 Term = tuple[ReducedWord, Scalar, CylinderFunction | None, ReducedWord]
+
+
+def _merged(terms: Iterable[Term]) -> tuple[Term, ...]:
+    """One term per (h, gamma), the sum of its c . f: the scalars fold
+    into the function, and a sum with no function stays a scalar."""
+    sums: dict[tuple[ReducedWord, ReducedWord], Scalar | CylinderFunction] = {}
+    for h, c, f, gamma in terms:
+        y = c if f is None else f if c == ONE else f.scale(c)
+        x = sums.get((h, gamma))
+        if x is not None and isinstance(x, Scalar) != isinstance(y, Scalar):
+            n = (y if isinstance(x, Scalar) else x).rank
+            x, y = (CylinderFunction.constant(n, z) if isinstance(z, Scalar) else z for z in (x, y))
+        sums[h, gamma] = y if x is None else x + y
+    return tuple(
+        (h, y, None, gamma) if isinstance(y, Scalar) else (h, ONE, y, gamma)
+        for (h, gamma), y in sums.items() if y
+    )
 
 
 def _freeze_inner(
@@ -108,25 +127,37 @@ class ModuleMap:
     """A right-linear operator on module vectors, carried as a name and
     its kernel: column(g) lists the terms (h, c, f, gamma) that send a
     coefficient x at label g to c . f . u_gamma . x at label h, with c a
-    scalar, f a cylinder function or None for 1, and gamma a word."""
+    scalar, f a cylinder function or None for 1, and gamma a word.  The
+    cached column merges them to one per (h, gamma), with c = 1 or f None."""
 
     __slots__ = ("name", "column")
 
     def __init__(self, name: str, column: Callable[[ReducedWord], Iterable[Term]]):
         self.name = name
-        self.column = lru_cache(maxsize=None)(lambda g: tuple(column(g)))
+        self.column = lru_cache(maxsize=None)(lambda g: _merged(column(g)))
+
+    def image(self, g: ReducedWord, k: ReducedWord, F: CylinderFunction) -> dict:
+        """The image of the monomial F . u_k placed at g: its nonzero
+        coefficients c . f . translate(gamma, F), keyed by (h, gamma k)."""
+        out = {}
+        for h, c, f, gamma in self.column(g):
+            y = translate(gamma, F) if len(gamma) else F
+            if f is not None:
+                y = f * y
+            elif c != ONE:
+                y = y.scale(c)
+            if not y.is_zero():
+                out[h, multiply(gamma, k) if len(k) else gamma] = y
+        return out
 
     def __call__(self, xi: ModuleVector) -> ModuleVector:
-        out: dict[ReducedWord, CrossedElement] = {}
+        out: dict[ReducedWord, dict] = {}
         for g, x in xi.entries.items():
-            for h, c, f, gamma in self.column(g):
-                y = x.left_mul_unitary(gamma) if len(gamma) else x
-                if f is not None:
-                    y = y.left_mul_function(f)
-                if c != ONE:
-                    y = y.scale(c)
-                out[h] = out[h] + y if h in out else y
-        return ModuleVector(xi.rank, out)
+            for k, F in x.terms.items():
+                for (h, gk), y in self.image(g, k, F).items():
+                    terms = out.setdefault(h, {})
+                    terms[gk] = terms[gk] + y if gk in terms else y
+        return ModuleVector(xi.rank, {h: CrossedElement(xi.rank, t) for h, t in out.items()})
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
         """The kernel product, term by term:
@@ -218,17 +249,21 @@ def spanning_indicators(n: int, d: int) -> list[CylinderFunction]:
     return out
 
 
+def spanning_monomials(n: int, R: int, d: int) -> Iterable[tuple]:
+    """Every bounded-depth indicator at every label in the ball, as
+    (indicator, label) pairs in deterministic shortlex order; `_describe`
+    renders them for the failures a certificate reports."""
+    fs = spanning_indicators(n, d)
+    return ((f, g) for g in ball(n, R) for f in fs)
+
+
 def spanning_vectors(
     n: int, R: int, d: int
 ) -> Iterable[tuple[tuple[CylinderFunction, ReducedWord], ModuleVector]]:
-    """Basis-style vectors: every bounded-depth indicator at every label
-    in the ball, in deterministic shortlex order.  Each comes with its
-    (indicator, label) pair; `_describe` renders it for the failures a
-    certificate reports.  At depth 0 these are the columns."""
-    fs = spanning_indicators(n, d)
-    for g in ball(n, R):
-        for f in fs:
-            yield (f, g), ModuleVector.basis(n, f, g)
+    """The spanning monomials as basis-style vectors, each with its
+    (indicator, label) pair.  At depth 0 these are the columns."""
+    for f, g in spanning_monomials(n, R, d):
+        yield (f, g), ModuleVector.basis(n, f, g)
 
 
 def _describe(keys: list[tuple[CylinderFunction, ReducedWord]]) -> tuple[str, ...]:
@@ -264,10 +299,10 @@ def maps_agree(
     check_depth(d)
     checked = 0
     bad = []
-    for key, xi in spanning_vectors(n, R, d):
+    for f, g in spanning_monomials(n, R, d):
         checked += 1
-        if T(xi) != S(xi) and len(bad) < 16:
-            bad.append(key)
+        if T.image(g, IDENTITY, f) != S.image(g, IDENTITY, f) and len(bad) < 16:
+            bad.append((f, g))
     labels = _describe(bad)
     return EqualityCertificate(
         description or f"{T.name} = {S.name}",
@@ -336,14 +371,14 @@ def iota_check(
         S = tau @ op_phi_function(f)
         cert = decay_check(F, f, R, inner)
         limit = max(limit, cert.threshold + max_shift)
-        for key, xi in spanning_vectors(n, R - max_shift, 0):
+        for f1, g in spanning_monomials(n, R - max_shift, 0):
             checked += 1
-            delta_out = T(xi) - S(xi)
-            if delta_out.is_zero():
+            t, s = T.image(g, IDENTITY, f1), S.image(g, IDENTITY, f1)
+            if t == s:
                 continue
             if len(bad) < 16:
-                bad.append(key)
-            worst = max(worst, max(len(g) for g in delta_out.entries))
+                bad.append((f1, g))
+            worst = max(worst, *(len(k[0]) for k in t.keys() | s.keys() if t.get(k) != s.get(k)))
     ok = worst <= limit
     labels = _describe(bad)
     return EqualityCertificate(
@@ -415,7 +450,6 @@ def build_Fbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | N
 
     def column(g: ReducedWord) -> Iterable[Term]:
         yield from V.column(g)
-        # negate the scalar, not f: (-f) . x would be a new memoized product
         for h, c, f, gamma in P.column(g):
             yield h, -c, f, gamma
         yield g, ONE, None, IDENTITY

@@ -546,3 +546,34 @@ def test_zeros_are_type_strict():
     for a, b in itertools.combinations(zeros, 2):
         assert a != b and b != a
     assert CrossedElement.zero(2) == CrossedElement(2, {W("a"): chi(2, W("a")).scale(Scalar())})
+
+
+def test_lazy_hash_agrees_across_constructors():
+    # the hash is computed on first use, so equal values built by
+    # different routes hash equal and key one dict entry
+    n = 2
+    a, b = W("a"), W("b")
+    x = CrossedElement(n, {a: chi(n, b), IDENTITY: chi(n, a)})
+    v, c = element_v(n), element_chi(n)
+    groups = [
+        [
+            x,
+            CrossedElement.monomial(chi(n, a), IDENTITY) + CrossedElement.monomial(chi(n, b), a),
+            x.scale(Scalar.of(2)) - x,
+            x.star().star(),
+        ],
+        [v, PairElement(n, dict(reversed(list(v.terms.items())))), (v - c) + c, bar_sigma(bar_sigma(v))],
+        [
+            include_i(v),
+            flip_sigma(flip_sigma(include_i(v))),
+            TensorElement(n, {(g, g): dual_coefficient(n, g) for g in generators(n)}),
+        ],
+    ]
+    table = {}
+    for group in groups:
+        for y in group:
+            assert y == group[0] and hash(y) == hash(group[0])
+            assert hash(y) == hash(y)
+            table.setdefault(y, []).append(y)
+        assert table[group[-1]] == group
+    assert len(table) == len(groups)

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boundarylab.config import DomainError
 from boundarylab.crossed import CrossedElement, PairElement, dual_coefficient
@@ -32,8 +34,8 @@ from boundarylab.modules import (
     untwist_U,
     untwist_U_star,
 )
-from boundarylab.scalars import ONE, Scalar
-from boundarylab.words import IDENTITY, ReducedWord, ball, generators, sphere
+from boundarylab.scalars import MINUS_ONE, ONE, Scalar
+from boundarylab.words import IDENTITY, ReducedWord, ball, generators, multiply, sphere
 
 W = ReducedWord.parse
 IDENTITY_MAP = ModuleMap("1", lambda g: [(g, ONE, None, IDENTITY)])
@@ -435,3 +437,123 @@ class TestFinalIdentity:
     def test_certificate_json(self):
         d = final_identity_check(2, 2, 1).to_json_dict()
         assert d["pass"] is True and d["scope"] == {"rank": 2, "R": 2, "d": 1}
+
+
+# -- images of monomials against the per-term application -------------
+
+def termwise_apply(column, xi):
+    """A column rule applied one kernel term at a time, one algebra
+    element per term: the reference for `ModuleMap.__call__`, which sums
+    the images of monomials and builds each output element once."""
+    out = {}
+    for g, x in xi.entries.items():
+        for h, c, f, gamma in column(g):
+            y = x.left_mul_unitary(gamma) if len(gamma) else x
+            if f is not None:
+                y = y.left_mul_function(f)
+            if c != ONE:
+                y = y.scale(c)
+            out[h] = out[h] + y if h in out else y
+    return ModuleVector(xi.rank, out)
+
+
+def termwise_fbar(n, drop=None, perturb=None):
+    """Fbar = Vbar - Pbar + 1 applied map by map, so its merged column
+    at g (one term 1 - P_g) is checked against the three separate terms."""
+    V, P = build_Vbar(n, drop=drop, perturb=perturb), build_Pbar(n)
+    return lambda xi: termwise_apply(V.column, xi) - termwise_apply(P.column, xi) + xi
+
+
+SCALARS = [ONE, MINUS_ONE, Scalar.of(2, 1)]
+
+
+def random_function(rng, n):
+    u = rng.choice(ball(n, 2))
+    f = one(n) if u == IDENTITY else chi(n, u)
+    return f.scale(rng.choice(SCALARS))
+
+
+def random_element(rng, n):
+    terms = {rng.choice(ball(n, 1)): random_function(rng, n) for _ in range(rng.randint(1, 2))}
+    return CrossedElement(n, terms)
+
+
+def random_vector(rng, n):
+    labels = rng.sample(ball(n, 2), rng.randint(1, 3))
+    return ModuleVector(n, {g: random_element(rng, n) for g in labels})
+
+
+def random_rule(rng, n):
+    """A column rule with several terms at some (h, gamma), scalars and
+    functions mixed, which the cached column must merge."""
+    terms = [
+        (rng.choice([IDENTITY, W("a")]), rng.choice(SCALARS),
+         rng.choice([None, random_function(rng, n)]), rng.choice([IDENTITY, W("b")]))
+        for _ in range(rng.randint(2, 5))
+    ]
+    return lambda g: [(multiply(g, s), c, f, gamma) for s, c, f, gamma in terms]
+
+
+def random_map(rng, n, depth):
+    """A map and its termwise reference, composed up to `depth` times."""
+    kind = rng.choice(["phi", "tau", "label", "U", "Fbar", "rule"] + ["compose"] * depth)
+    if kind == "rule":
+        rule = random_rule(rng, n)
+        return ModuleMap("rule", rule), lambda xi: termwise_apply(rule, xi)
+    if kind == "compose":
+        (T, t), (S, s) = random_map(rng, n, depth - 1), random_map(rng, n, depth - 1)
+        return T @ S, lambda xi: t(s(xi))
+    if kind == "Fbar":
+        fault = rng.choice([{}, {"drop": rng.choice(generators(n))},
+                            {"perturb": rng.choice(generators(n))}])
+        return build_Fbar(n, **fault), termwise_fbar(n, **fault)
+    T = {
+        "phi": lambda: op_phi(random_element(rng, n)),
+        "tau": lambda: op_tau_gamma(rng.choice(ball(n, 1))),
+        "label": lambda: op_mult_label(random_function(rng, n)),
+        "U": untwist_U,
+    }[kind]()
+    return T, lambda xi: termwise_apply(T.column, xi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_call_matches_termwise_application(n, seed):
+    rng = random.Random(seed)
+    T, reference = random_map(rng, n, 2)
+    xi = random_vector(rng, n)
+    assert T(xi) == reference(xi), T.name
+
+
+def vector_maps_agree(T, S, n, R, d, description):
+    """`maps_agree` as a loop over spanning vectors, each side applied
+    term by term."""
+    checked = 0
+    bad = []
+    for key, xi in spanning_vectors(n, R, d):
+        checked += 1
+        if T(xi) != S(xi) and len(bad) < 16:
+            bad.append(key)
+    labels = _describe(bad)
+    return EqualityCertificate(
+        description, n, R, d, checked, not bad, labels[0] if bad else None, labels,
+    )
+
+
+FAULTS = [{}] + [{kind: g} for kind in ("drop", "perturb") for g in generators(2)]
+
+
+@pytest.mark.parametrize(
+    "fault", FAULTS, ids=["none"] + [f"{k}-{g}" for f in FAULTS[1:] for k, g in f.items()]
+)
+def test_maps_agree_matches_vector_loop(fault):
+    # the passing check at (2, 3, 2) and each mutant at (2, 3, 1)
+    R, d = (3, 1) if fault else (3, 2)
+    cert = final_identity_check(2, R, d, **fault)
+    W_ref = build_Wbar(2, R + 1)
+    ref = vector_maps_agree(
+        termwise_fbar(2, **fault), lambda xi: termwise_apply(W_ref.column, xi),
+        2, R, d, "assembled lift equals fiberwise shift",
+    )
+    assert cert == ref
+    assert cert.equal == (not fault)
