@@ -125,8 +125,9 @@ class Report:
         return "\n".join(lines)
 
 
-def _random_boundary_points(n: int, count: int, seed: int = 20_26) -> list[BoundaryPoint]:
-    rng = random.Random(seed)
+def _random_boundary_points(n: int, count: int) -> list[BoundaryPoint]:
+    """Eventually periodic points from one fixed seed, the same in every report."""
+    rng = random.Random(20_26)
     letters = [Letter(i, s) for i in range(n) for s in (1, -1)]
 
     def random_word(length: int) -> list[Letter]:

@@ -154,7 +154,6 @@ def _fold(prefix: ReducedWord, columns) -> dict[tuple[ReducedWord, ReducedWord],
     return {k: v for k, v in folded.items() if v}
 
 
-@lru_cache(maxsize=None)
 def op_b(n: int, R: int) -> TruncatedOperator:
     """Vertex-to-parent-edge operator, read off the edge basis; kills the origin vector."""
     check_radius(R)
@@ -166,7 +165,6 @@ def op_left_vertices(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
     return op_left(n, gamma, R)
 
 
-@lru_cache(maxsize=None)
 def op_left_edges(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:
     basis = edge_basis(n, R)
     return on_columns(basis, _left_edge_column(gamma), R, len(gamma), basis)

@@ -12,13 +12,13 @@ it sums those images, and composing two maps multiplies their kernels.
 
 Because every map is right linear, its column at g -- the image of the
 constant function placed at g -- determines it, and two maps agree on
-a ball exactly when their columns there agree.  `maps_agree` and
-`iota_check` compare the images of spanning monomials, with no module
-vector built; at depth 0 these are the columns.  The bounded-depth
-indicators of `spanning_vectors` add no information; a positive depth
-matters only where a gate counts the vectors checked.  Right linearity
-extends such a certificate to general coefficients with parameters in
-range, which is the only sense in which the word "equal" is used below.
+a ball exactly when their columns there agree.  A map keeps no table;
+`maps_agree` and `iota_check` share one loop that reads each column
+once per label and compares the images of bounded-depth indicators
+there.  At depth 0 these are the columns; a positive depth matters only
+where a gate counts the vectors checked.  Right linearity extends such
+a certificate to general coefficients with parameters in range, which
+is the only sense in which the word "equal" is used below.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ def _merged(terms: Iterable[Term]) -> tuple[Term, ...]:
     )
 
 
-def _freeze_inner(
-    inner: Mapping[ReducedWord, CylinderFunction] | None,
-) -> tuple | None:
+def _freeze_inner(inner: Mapping[ReducedWord, CylinderFunction] | None) -> tuple | None:
     if inner is None:
         return None
     return tuple(sorted(inner.items(), key=lambda kv: kv[0].sort_key()))
@@ -123,38 +121,44 @@ def inner_product(xi: ModuleVector, eta: ModuleVector) -> CrossedElement:
     return total
 
 
+def _image(column: tuple[Term, ...], k: ReducedWord, F: CylinderFunction) -> dict:
+    """The image of F . u_k under a merged column: its nonzero
+    coefficients c . f . translate(gamma, F), keyed by (h, gamma k)."""
+    out = {}
+    for h, c, f, gamma in column:
+        y = translate(gamma, F) if len(gamma) else F
+        if f is not None:
+            y = f * y
+        elif c != ONE:
+            y = y.scale(c)
+        if not y.is_zero():
+            out[h, multiply(gamma, k) if len(k) else gamma] = y
+    return out
+
+
 class ModuleMap:
     """A right-linear operator on module vectors, carried as a name and
-    its kernel: column(g) lists the terms (h, c, f, gamma) that send a
+    its kernel rule: rule(g) lists the terms (h, c, f, gamma) that send a
     coefficient x at label g to c . f . u_gamma . x at label h, with c a
-    scalar, f a cylinder function or None for 1, and gamma a word.  The
-    cached column merges them to one per (h, gamma), with c = 1 or f None."""
+    scalar, f a cylinder function or None for 1, and gamma a word.  It
+    keeps no table: column(g) merges them to one per (h, gamma), with
+    c = 1 or f None, on each read, and a loop reads a label's column once."""
 
-    __slots__ = ("name", "column")
+    __slots__ = ("name", "rule")
 
-    def __init__(self, name: str, column: Callable[[ReducedWord], Iterable[Term]]):
+    def __init__(self, name: str, rule: Callable[[ReducedWord], Iterable[Term]]):
         self.name = name
-        self.column = lru_cache(maxsize=None)(lambda g: _merged(column(g)))
+        self.rule = rule
 
-    def image(self, g: ReducedWord, k: ReducedWord, F: CylinderFunction) -> dict:
-        """The image of the monomial F . u_k placed at g: its nonzero
-        coefficients c . f . translate(gamma, F), keyed by (h, gamma k)."""
-        out = {}
-        for h, c, f, gamma in self.column(g):
-            y = translate(gamma, F) if len(gamma) else F
-            if f is not None:
-                y = f * y
-            elif c != ONE:
-                y = y.scale(c)
-            if not y.is_zero():
-                out[h, multiply(gamma, k) if len(k) else gamma] = y
-        return out
+    def column(self, g: ReducedWord) -> tuple[Term, ...]:
+        return _merged(self.rule(g))
 
     def __call__(self, xi: ModuleVector) -> ModuleVector:
         out: dict[ReducedWord, dict] = {}
         for g, x in xi.entries.items():
+            column = self.column(g)
             for k, F in x.terms.items():
-                for (h, gk), y in self.image(g, k, F).items():
+                for (h, gk), y in _image(column, k, F).items():
                     terms = out.setdefault(h, {})
                     terms[gk] = terms[gk] + y if gk in terms else y
         return ModuleVector(xi.rank, {h: CrossedElement(xi.rank, t) for h, t in out.items()})
@@ -163,7 +167,7 @@ class ModuleMap:
         """The kernel product, term by term:
         c2 f2 u_g2 . c1 f1 u_g1 = c2 c1 . f2 translate(g2, f1) . u_{g2 g1}."""
 
-        def column(g: ReducedWord) -> Iterable[Term]:
+        def rule(g: ReducedWord) -> Iterable[Term]:
             for h1, c1, f1, g1 in other.column(g):
                 for h2, c2, f2, g2 in self.column(h1):
                     t = translate(g2, f1) if f1 is not None and len(g2) else f1
@@ -171,7 +175,7 @@ class ModuleMap:
                     if f is None or not f.is_zero():
                         yield h2, c2 * c1, f, multiply(g2, g1)
 
-        return ModuleMap(f"({self.name} . {other.name})", column)
+        return ModuleMap(f"({self.name} . {other.name})", rule)
 
 
 def op_phi_function(f: CylinderFunction) -> ModuleMap:
@@ -249,21 +253,13 @@ def spanning_indicators(n: int, d: int) -> list[CylinderFunction]:
     return out
 
 
-def spanning_monomials(n: int, R: int, d: int) -> Iterable[tuple]:
-    """Every bounded-depth indicator at every label in the ball, as
-    (indicator, label) pairs in deterministic shortlex order; `_describe`
-    renders them for the failures a certificate reports."""
+def spanning_vectors(n: int, R: int, d: int) -> Iterable[tuple[tuple, ModuleVector]]:
+    """Every bounded-depth indicator at every label in the ball, in
+    shortlex order, as a basis-style vector with its (indicator, label)."""
     fs = spanning_indicators(n, d)
-    return ((f, g) for g in ball(n, R) for f in fs)
-
-
-def spanning_vectors(
-    n: int, R: int, d: int
-) -> Iterable[tuple[tuple[CylinderFunction, ReducedWord], ModuleVector]]:
-    """The spanning monomials as basis-style vectors, each with its
-    (indicator, label) pair.  At depth 0 these are the columns."""
-    for f, g in spanning_monomials(n, R, d):
-        yield (f, g), ModuleVector.basis(n, f, g)
+    for g in ball(n, R):
+        for f in fs:
+            yield (f, g), ModuleVector.basis(n, f, g)
 
 
 def _describe(keys: list[tuple[CylinderFunction, ReducedWord]]) -> tuple[str, ...]:
@@ -292,17 +288,31 @@ class EqualityCertificate:
         }
 
 
+def _compare(T: ModuleMap, S: ModuleMap, n: int, R: int, d: int) -> tuple[int, list, int]:
+    """Compare T and S on the spanning indicators at each label of the
+    ball, reading each column once: the count compared, the first 16
+    differing (indicator, label) pairs and the longest label of a difference."""
+    fs = spanning_indicators(n, d)
+    checked, bad, worst = 0, [], 0
+    for g in ball(n, R):
+        t_column, s_column = T.column(g), S.column(g)
+        for f in fs:
+            checked += 1
+            t, s = _image(t_column, IDENTITY, f), _image(s_column, IDENTITY, f)
+            if t == s:
+                continue
+            if len(bad) < 16:
+                bad.append((f, g))
+            worst = max(worst, *(len(k[0]) for k in t.keys() | s.keys() if t.get(k) != s.get(k)))
+    return checked, bad, worst
+
+
 def maps_agree(
     T: ModuleMap, S: ModuleMap, n: int, R: int, d: int, description: str = ""
 ) -> EqualityCertificate:
     check_radius(R)
     check_depth(d)
-    checked = 0
-    bad = []
-    for f, g in spanning_monomials(n, R, d):
-        checked += 1
-        if T.image(g, IDENTITY, f) != S.image(g, IDENTITY, f) and len(bad) < 16:
-            bad.append((f, g))
+    checked, bad, _ = _compare(T, S, n, R, d)
     labels = _describe(bad)
     return EqualityCertificate(
         description or f"{T.name} = {S.name}",
@@ -326,25 +336,20 @@ def decay_check(
     f: CylinderFunction,
     R: int,
     inner: Mapping[ReducedWord, CylinderFunction] | None = None,
-    description: str = "",
 ) -> DecayCertificate:
     """At each label x, compare multiplying by the constant value of f
     near x against multiplying by f itself, weighted by the label's
-    specialization of F; certify the difference dies beyond a threshold.
-    """
+    specialization of F; certify the difference dies beyond a threshold."""
     check_radius(R)
-    n = f.rank
     frozen = _freeze_inner(inner)
-    threshold = 0
-    count = 0
-    for x in ball(n, R):
+    threshold, count = 0, 0
+    for x in ball(f.rank, R):
         weight = _weight(F, frozen, x)
         if weight.scale(f.extend(x)) != weight * f:
             count += 1
             threshold = max(threshold, len(x) + 1)
     return DecayCertificate(
-        description or "decay of the near-constancy gap",
-        R, threshold, count, threshold <= R,
+        "decay of the near-constancy gap", R, threshold, count, threshold <= R
     )
 
 
@@ -358,32 +363,26 @@ def iota_check(
     two-variable coefficient: second-leg scalar extension against honest
     pointwise multiplication.  They must agree outside a finite label
     set no larger than the decay threshold allows.  Both pictures are
-    right linear, so they are compared on their columns only."""
+    right linear, so they are compared on their columns only; the decays
+    are computed only if some column differs, once per coefficient."""
+    check_radius(R)
     n = f.rank
-    checked = 0
-    bad = []
-    worst = 0
+    checked, bad, worst = 0, [], 0
     max_shift = max((len(delta) for delta in b.terms), default=0)
-    limit = 0
     for delta, F in sorted(b.terms.items(), key=lambda kv: kv[0].sort_key()):
         tau = op_tau_monomial(F, delta, inner)
-        T = tau @ op_mult_label(f)
-        S = tau @ op_phi_function(f)
-        cert = decay_check(F, f, R, inner)
-        limit = max(limit, cert.threshold + max_shift)
-        for f1, g in spanning_monomials(n, R - max_shift, 0):
-            checked += 1
-            t, s = T.image(g, IDENTITY, f1), S.image(g, IDENTITY, f1)
-            if t == s:
-                continue
-            if len(bad) < 16:
-                bad.append((f1, g))
-            worst = max(worst, *(len(k[0]) for k in t.keys() | s.keys() if t.get(k) != s.get(k)))
-    ok = worst <= limit
+        T, S = tau @ op_mult_label(f), tau @ op_phi_function(f)
+        count, fails, longest = _compare(T, S, n, R - max_shift, 0)
+        checked += count
+        bad += fails[: 16 - len(bad)]
+        worst = max(worst, longest)
+    equal = not bad or worst <= max_shift + max(
+        decay_check(F, f, R, inner).threshold for F in dict.fromkeys(b.terms.values())
+    )
     labels = _describe(bad)
     return EqualityCertificate(
         "second-leg extension matches pointwise multiplication up to finite defect",
-        n, R, 0, checked, not bad or ok, labels[0] if bad else None, labels,
+        n, R, 0, checked, equal, labels[0] if bad else None, labels,
     )
 
 
@@ -410,14 +409,14 @@ def build_Vbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | N
             F = F.scale(Scalar.of(2))
         terms.append((gamma, F, _freeze_inner(inner)))
 
-    def column(g: ReducedWord) -> Iterable[Term]:
+    def rule(g: ReducedWord) -> Iterable[Term]:
         for gamma, F, frozen in terms:
             h = multiply(g, gamma.inverse())
             weight = _weight(F, frozen, h)
             if not weight.is_zero():
                 yield h, ONE, weight, IDENTITY
 
-    return ModuleMap("Vbar", column)
+    return ModuleMap("Vbar", rule)
 
 
 def build_Vbar_closed_form(n: int) -> ModuleMap:
@@ -434,13 +433,13 @@ def build_Pbar(n: int) -> ModuleMap:
     coefficients, which is the indicator of the label's own cylinder."""
     terms = [(F, _freeze_inner(inner)) for _, F, inner in _shift_terms(n)]
 
-    def column(g: ReducedWord) -> Iterable[Term]:
+    def rule(g: ReducedWord) -> Iterable[Term]:
         total = CylinderFunction.zero(n)
         for F, frozen in terms:
             total = total + _weight(F, frozen, g)
         return [(g, ONE, total, IDENTITY)]
 
-    return ModuleMap("Pbar", column)
+    return ModuleMap("Pbar", rule)
 
 
 def build_Fbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | None = None) -> ModuleMap:
@@ -448,13 +447,13 @@ def build_Fbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | N
     V = build_Vbar(n, drop=drop, perturb=perturb)
     P = build_Pbar(n)
 
-    def column(g: ReducedWord) -> Iterable[Term]:
-        yield from V.column(g)
-        for h, c, f, gamma in P.column(g):
+    def rule(g: ReducedWord) -> Iterable[Term]:
+        yield from V.rule(g)
+        for h, c, f, gamma in P.rule(g):
             yield h, -c, f, gamma
         yield g, ONE, None, IDENTITY
 
-    return ModuleMap("Fbar", column)
+    return ModuleMap("Fbar", rule)
 
 
 def build_Wbar(n: int, R: int) -> ModuleMap:
@@ -478,9 +477,7 @@ def final_identity_check(
     """The flagship comparison: the lift assembled from the dual element
     must coincide with the fiberwise tree shift on the full spanning set.
     Both sides translate cylinder functions by labels of length R + 1, so
-    that depth is checked against the cap before any map is built.
-    """
+    that depth is checked against the cap before any map is built."""
     check_depth(R + 1)
-    Fb = build_Fbar(n, drop=drop, perturb=perturb)
-    Wb = build_Wbar(n, R + 1)
+    Fb, Wb = build_Fbar(n, drop=drop, perturb=perturb), build_Wbar(n, R + 1)
     return maps_agree(Fb, Wb, n, R, d, "assembled lift equals fiberwise shift")

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarylab.config import DomainError
+from boundarylab import modules
+from boundarylab.config import DomainError, ResourceLimitError
 from boundarylab.crossed import CrossedElement, PairElement, dual_coefficient
 from boundarylab.cylinders import CylinderFunction, chi, tensor
 from boundarylab.modules import (
@@ -30,6 +32,7 @@ from boundarylab.modules import (
     op_tau_F,
     op_tau_gamma,
     op_tau_monomial,
+    spanning_indicators,
     spanning_vectors,
     untwist_U,
     untwist_U_star,
@@ -314,6 +317,38 @@ class TestIota:
         assert failing >= 10
 
 
+class TestLazyDecay:
+    """`iota_check` computes a decay only when a column differs, since
+    the threshold decides nothing otherwise, and then once per distinct
+    coefficient whatever the number of shifts."""
+
+    @pytest.fixture
+    def decays(self, monkeypatch):
+        calls = []
+        decay_check = modules.decay_check
+        monkeypatch.setattr(modules, "decay_check", lambda *a: calls.append(a) or decay_check(*a))
+        return calls
+
+    def test_no_decay_without_discrepancy(self, decays):
+        cert = iota_check(PairElement(2, {IDENTITY: F_a()}), chi(2, W("A")), 4, inner_a())
+        assert cert.equal and cert.first_discrepancy is None
+        assert decays == []
+
+    def test_one_decay_per_coefficient(self, decays):
+        cert = iota_check(PairElement(2, {IDENTITY: F_a()}), chi(2, W("a")), 4, inner_a())
+        assert cert.equal and cert.first_discrepancy is not None
+        assert len(decays) == 1
+        b = PairElement(2, {IDENTITY: F_a(), W("a"): F_a(), W("b"): F_a()})
+        iota_check(b, chi(2, W("a")), 4, inner_a())
+        assert len(decays) == 2
+
+    @pytest.mark.parametrize("R, error", [(13, ResourceLimitError), (-1, DomainError)])
+    def test_radius_checked_first(self, R, error, monkeypatch):
+        monkeypatch.delenv("BDL_MAX_RADIUS", raising=False)
+        with pytest.raises(error):
+            iota_check(PairElement(2, {IDENTITY: F_a()}), chi(2, W("a")), R, inner_a())
+
+
 class TestLiftedShift:
     def test_vbar_on_generator_basis(self):
         out = build_Vbar(2)(unit_at(W("a")))
@@ -557,3 +592,20 @@ def test_maps_agree_matches_vector_loop(fault):
     )
     assert cert == ref
     assert cert.equal == (not fault)
+
+
+def counted(T, reads):
+    """T with every read of its rule counted under its name."""
+    def rule(g):
+        reads[T.name] += 1
+        return T.rule(g)
+    return ModuleMap(T.name, rule)
+
+
+def test_maps_agree_reads_each_rule_once_per_label():
+    # every indicator at a label is compared from the one column read there
+    reads = Counter()
+    T, S = counted(build_Fbar(2), reads), counted(build_Wbar(2, 4), reads)
+    cert = maps_agree(T, S, 2, 3, 2)
+    assert cert.equal and cert.checked == len(ball(2, 3)) * len(spanning_indicators(2, 2))
+    assert reads == {"Fbar": len(ball(2, 3)), "Wbar": len(ball(2, 3))}
