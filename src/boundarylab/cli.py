@@ -52,9 +52,9 @@ from .scalars import ONE
 from .words import (
     IDENTITY,
     BoundaryPoint,
-    Letter,
     ReducedWord,
     ball,
+    next_letters,
     parse_word,
     sphere,
 )
@@ -128,13 +128,13 @@ class Report:
 def _random_boundary_points(n: int, count: int) -> list[BoundaryPoint]:
     """Eventually periodic points from one fixed seed, the same in every report."""
     rng = random.Random(20_26)
-    letters = [Letter(i, s) for i in range(n) for s in (1, -1)]
+    letters = next_letters(n, None)
 
-    def random_word(length: int) -> list[Letter]:
-        word: list[Letter] = []
+    def random_word(length: int) -> list[int]:
+        word: list[int] = []
         while len(word) < length:
             step = rng.choice(letters)
-            if word and step == word[-1].inverse():
+            if word and step not in next_letters(n, word[-1]):
                 continue
             word.append(step)
         return word
@@ -167,6 +167,7 @@ class Check:
     length R + depth, which must lie under the cylinder depth cap.
     `rule`, where set, is the pass rule of one certificate, which the
     runner and the matching single-certificate command both apply.
+    `mutable` marks a runner that reads the faults.
     """
 
     suite: str
@@ -176,6 +177,7 @@ class Check:
     reach: int = 0
     depth: int | None = None
     rule: Callable[..., bool] | None = None
+    mutable: bool = False
 
 
 CHECKS: list[Check] = []
@@ -343,7 +345,7 @@ def _unitarity(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
 
 
 @_check("all", "the assembled lift coincides with the fiberwise tree shift",
-        depth=1, rule=attrgetter("equal"))
+        depth=1, rule=attrgetter("equal"), mutable=True)
 def _flagship(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     cert = final_identity_check(n, R, d, **faults)
     params = {"rank": n, "radius": R, "depth": d}
@@ -357,7 +359,8 @@ def run_suite(
     drop: ReducedWord | None = None,
     perturb: ReducedWord | None = None,
 ) -> Report:
-    """Check the limits of every entry the suite selects, then run them."""
+    """Check the limits of every entry the suite selects, and that one of
+    them reads the faults if any are given, then run them."""
     cfg.validate()
     if suite not in SUITES:
         raise DomainError(f"unknown suite: {suite}")
@@ -369,8 +372,10 @@ def run_suite(
         check_radius(cfg.radius + c.reach)
         if c.depth is not None:
             check_depth(cfg.radius + c.depth)
-    start = time.monotonic()
     faults = {"drop": drop, "perturb": perturb}
+    if any(g is not None for g in faults.values()) and not any(c.mutable for c in entries):
+        raise DomainError(f"no check of the {suite} suite reads --mutate; use --suite all")
+    start = time.monotonic()
     records = [
         Record(check_id, c.anchor, params, passed, cert)
         for c in entries

@@ -41,36 +41,22 @@ from .scalars import ONE, ZERO, Scalar
 from .words import (
     IDENTITY,
     BoundaryPoint,
-    Letter,
     ReducedWord,
-    generators,
     is_initial,
     multiply,
+    next_letters,
     parse_word,
-    sphere,
 )
 
 
-@lru_cache(maxsize=None)
-def _continuations(n: int, last: Letter | None, k: int) -> tuple[tuple[Letter, ...], ...]:
-    """All reduced length-k continuations after a word ending in `last`."""
-    if k == 0:
-        return ((),)
-    letters = [g.letters[0] for g in generators(n)]
-    out = []
-    for l in letters:
-        if last is not None and l == last.inverse():
-            continue
-        for rest in _continuations(n, l, k - 1):
-            out.append((l,) + rest)
-    return tuple(out)
-
-
 def word_extensions(w: ReducedWord, k: int, n: int) -> list[ReducedWord]:
+    """The reduced words that extend w by k letters, in shortlex order."""
     if not k:
         return [w]
-    last = w.letters[-1] if w.letters else None
-    return [ReducedWord(w.letters + t) for t in _continuations(n, last, k)]
+    spellings = [w.letters]
+    for _ in range(k):
+        spellings = [t + (l,) for t in spellings for l in next_letters(n, t[-1] if t else None)]
+    return [ReducedWord(t) for t in spellings]
 
 
 class CylinderFunction:
@@ -208,7 +194,7 @@ def _merge_siblings(rank: int, cells: dict[ReducedWord, Cell]) -> None:
     for w in cells:
         levels.setdefault(len(w.letters), []).append(w)
     for k in range(max(levels), 0, -1):
-        groups: dict[tuple[Letter, ...], list[ReducedWord]] = {}
+        groups: dict[tuple[int, ...], list[ReducedWord]] = {}
         for w in levels.get(k, ()):
             groups.setdefault(w.letters[:-1], []).append(w)
         for parent, ws in groups.items():
@@ -237,9 +223,9 @@ def _fill_around(
     path = {v.letters[:j] for v in inside for j in range(k, len(v.letters))}
     taken = path | {v.letters for v in inside}
     for p in path:
-        for step in _continuations(rank, p[-1] if p else None, 1):
-            if p + step not in taken:
-                out[ReducedWord(p + step)] = value
+        for l in next_letters(rank, p[-1] if p else None):
+            if p + (l,) not in taken:
+                out[ReducedWord(p + (l,))] = value
 
 
 def _plain_add(
@@ -338,12 +324,10 @@ def _translate_indicator(gamma: ReducedWord, w: ReducedWord, n: int) -> tuple[Re
     if cancelled < len(w):
         return (prod,)
     g1 = gamma.prefix(len(gamma) - len(w))
-    blocked = w.letters[-1].inverse()
     return tuple(
         cell
-        for step in sphere(n, 1)
-        if step.letters[0] != blocked
-        for cell in _translate_indicator(g1, step, n)
+        for l in next_letters(n, w.letters[-1])
+        for cell in _translate_indicator(g1, ReducedWord((l,)), n)
     )
 
 

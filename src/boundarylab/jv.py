@@ -45,7 +45,7 @@ from .operators import (
     support_certificate,
 )
 from .scalars import ONE, Scalar
-from .words import BoundaryPoint, Letter, ReducedWord, ball, is_initial, multiply, sphere
+from .words import BoundaryPoint, ReducedWord, ball, is_initial, multiply, sphere
 
 
 class Edge:
@@ -286,10 +286,9 @@ def _deep_extensions(u: ReducedWord, depth: int) -> list[ReducedWord]:
     """Prefixes of two rays through the cylinder of u, long enough for
     radius checks."""
     out = []
-    for letter in (Letter(0, 1), Letter(0, -1)):
-        if u.letters and u.letters[-1] == letter.inverse():
+    for period in (ReducedWord.parse("a"), ReducedWord.parse("A")):
+        if len(multiply(u, period)) < len(u):
             continue
-        period = ReducedWord((letter,))
         word = u
         while len(word) < depth + 1:
             word = multiply(word, period)

@@ -10,6 +10,13 @@ ball(n, R - 1) followed by the children, in letter order, of its last
 sphere, which is already shortlex order, so no sphere is ever sorted and
 every word of a rank is made once.  A sphere is a slice of its ball.
 
+A letter is the int that gives its place in letter order, a = 0, A = 1,
+b = 2, B = 3, ...: generator i is 2i, its inverse is 2i + 1, so l ^ 1
+inverts a letter and a word's tuple of letters orders words of one
+length.  Only this module reads that encoding; other modules ask
+`next_letters(n, last)` for the letters that may follow `last` in a
+reduced word.
+
 Text syntax: generators are lowercase letters "a", "b", ...; their
 inverses are the corresponding uppercase letters; the identity is "1".
 A boundary point is written "head(period)", e.g. "ab(ba)".
@@ -20,42 +27,17 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .config import DomainError, check_radius
 
-
-class Letter(NamedTuple):
-    index: int
-    sign: int  # +1 or -1
-
-    def inverse(self) -> "Letter":
-        return _letter_inverse(self)
-
-    def sort_key(self) -> tuple[int, int]:
-        # a < A < b < B < ...
-        return (self.index, 0 if self.sign > 0 else 1)
-
-    def __str__(self) -> str:
-        ch = string.ascii_lowercase[self.index]
-        return ch if self.sign > 0 else ch.upper()
+_ALPHABET = "".join(ch + ch.upper() for ch in string.ascii_lowercase)  # letter l is _ALPHABET[l]
 
 
-@lru_cache(maxsize=None)
-def _letter_inverse(letter: Letter) -> Letter:
-    return Letter(letter.index, -letter.sign)
-
-
-def _parse_letters(text: str) -> tuple[Letter, ...]:
-    out = []
-    for ch in text:
-        if ch in string.ascii_lowercase:
-            out.append(Letter(string.ascii_lowercase.index(ch), 1))
-        elif ch in string.ascii_uppercase:
-            out.append(Letter(string.ascii_uppercase.index(ch), -1))
-        else:
-            raise DomainError(f"bad letter {ch!r} in word {text!r}")
-    return tuple(out)
+def next_letters(n: int, last: int | None) -> tuple[int, ...]:
+    """The letters of F_n that may follow `last` in a reduced word, in
+    letter order; every letter when `last` is None."""
+    return tuple(l for l in range(2 * n) if last is None or l != last ^ 1)
 
 
 class ReducedWord:
@@ -63,10 +45,10 @@ class ReducedWord:
 
     __slots__ = ("letters", "_hash")
 
-    def __init__(self, letters: Iterable[Letter] = ()):
+    def __init__(self, letters: Iterable[int] = ()):
         letters = tuple(letters)
         for x, y in zip(letters, letters[1:]):
-            if x.index == y.index and x.sign == -y.sign:
+            if x ^ 1 == y:
                 raise DomainError(f"word {letters} is not reduced")
         self.letters = letters
         self._hash = hash(letters)
@@ -75,7 +57,10 @@ class ReducedWord:
     def parse(text: str) -> "ReducedWord":
         if text in ("", "1"):
             return IDENTITY
-        return reduce(_parse_letters(text))
+        letters = [_ALPHABET.find(ch) for ch in text]
+        if -1 in letters:
+            raise DomainError(f"bad letter {text[letters.index(-1)]!r} in word {text!r}")
+        return reduce(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -88,7 +73,7 @@ class ReducedWord:
 
     def sort_key(self):
         """Shortlex ordering key."""
-        return (len(self.letters), tuple(l.sort_key() for l in self.letters))
+        return (len(self.letters), self.letters)
 
     def __lt__(self, other: "ReducedWord") -> bool:
         return self.sort_key() < other.sort_key()
@@ -97,7 +82,7 @@ class ReducedWord:
         return multiply(self, other)
 
     def inverse(self) -> "ReducedWord":
-        return ReducedWord(l.inverse() for l in reversed(self.letters))
+        return ReducedWord(l ^ 1 for l in reversed(self.letters))
 
     def prefix(self, d: int) -> "ReducedWord":
         return ReducedWord(self.letters[:d])
@@ -106,28 +91,23 @@ class ReducedWord:
         """The neighbor one unit closer to the identity."""
         if not self.letters:
             raise DomainError("origin has no parent")
-        return _parent(self)
+        return ReducedWord(self.letters[:-1])
 
     def __str__(self) -> str:
-        return "".join(str(l) for l in self.letters) or "1"
+        return "".join(_ALPHABET[l] for l in self.letters) or "1"
 
     def __repr__(self) -> str:
         return f"ReducedWord({str(self)!r})"
 
 
-@lru_cache(maxsize=None)
-def _parent(word: "ReducedWord") -> "ReducedWord":
-    return ReducedWord(word.letters[:-1])
-
-
 IDENTITY = ReducedWord()
 
 
-def reduce(seq: Iterable[Letter]) -> ReducedWord:
+def reduce(seq: Iterable[int]) -> ReducedWord:
     """Freely reduce a letter sequence; idempotent on reduced input."""
-    stack: list[Letter] = []
+    stack: list[int] = []
     for l in seq:
-        if stack and stack[-1] == l.inverse():
+        if stack and stack[-1] == l ^ 1:
             stack.pop()
         else:
             stack.append(l)
@@ -139,7 +119,7 @@ def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
     xl, yl = x.letters, y.letters
     k = 0
     limit = min(len(xl), len(yl))
-    while k < limit and xl[-1 - k] == yl[k].inverse():
+    while k < limit and xl[-1 - k] == yl[k] ^ 1:
         k += 1
     return ReducedWord(xl[: len(xl) - k] + yl[k:])
 
@@ -147,7 +127,7 @@ def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
 def parse_word(text: str, n: int) -> ReducedWord:
     """A word of F_n: a letter past the first n generators is a domain error."""
     word = ReducedWord.parse(text)
-    if any(l.index >= n for l in word.letters):
+    if any(l >= 2 * n for l in word.letters):
         raise DomainError(f"word {text!r} has a letter outside the {n} generators")
     return word
 
@@ -159,9 +139,7 @@ def is_initial(x: ReducedWord, y: ReducedWord) -> bool:
 
 def generators(n: int) -> list[ReducedWord]:
     """All 2n length-one words, in letter order."""
-    letters = [Letter(i, s) for i in range(n) for s in (1, -1)]
-    letters.sort(key=Letter.sort_key)
-    return [ReducedWord([l]) for l in letters]
+    return [ReducedWord((l,)) for l in range(2 * n)]
 
 
 @lru_cache(maxsize=None)
@@ -171,11 +149,10 @@ def _ball(n: int, R: int) -> tuple[ReducedWord, ...]:
     if R == 0:
         return (IDENTITY,)
     inner = _ball(n, R - 1)
-    letters = [g.letters[0] for g in generators(n)]
     grown = list(inner)
     for w in inner[_sphere_start(n, R - 1):]:
-        back = _letter_inverse(w.letters[-1]) if w.letters else None
-        grown.extend(ReducedWord(w.letters + (l,)) for l in letters if l != back)
+        last = w.letters[-1] if w.letters else None
+        grown.extend(ReducedWord(w.letters + (l,)) for l in next_letters(n, last))
     return tuple(grown)
 
 
@@ -201,7 +178,7 @@ def sphere(n: int, R: int) -> list[ReducedWord]:
     return list(_checked_ball(n, R)[_sphere_start(n, R):])
 
 
-def _primitive_root(w: tuple[Letter, ...]) -> tuple[Letter, ...]:
+def _primitive_root(w: tuple[int, ...]) -> tuple[int, ...]:
     for p in range(1, len(w) + 1):
         if len(w) % p == 0 and w == w[:p] * (len(w) // p):
             return w[:p]
@@ -226,9 +203,9 @@ class BoundaryPoint:
         if len(period) == 0:
             raise DomainError("boundary point needs a nonempty period")
         # the infinite stream must be reduced at both junction types
-        if period.letters[-1] == period.letters[0].inverse():
+        if period.letters[-1] == period.letters[0] ^ 1:
             raise DomainError(f"period {period} cancels against itself")
-        if head.letters and head.letters[-1] == period.letters[0].inverse():
+        if head.letters and head.letters[-1] == period.letters[0] ^ 1:
             raise DomainError(f"head {head} cancels against period {period}")
         p = _primitive_root(period.letters)
         h = head.letters

@@ -39,7 +39,6 @@ from boundarylab.scalars import ONE, Scalar
 from boundarylab.words import (
     IDENTITY,
     BoundaryPoint,
-    Letter,
     ReducedWord,
     ball,
     sphere,
@@ -74,11 +73,7 @@ def test_criterion_02_conjugation_flip(rank):
 
 def test_criterion_03_geodesic_characterization():
     n = 2
-    rays = [
-        BoundaryPoint(IDENTITY, ReducedWord((Letter(i, s),)))
-        for i in range(n)
-        for s in (1, -1)
-    ]
+    rays = [BoundaryPoint(IDENTITY, g) for g in sphere(n, 1)]
     checked = failures = 0
     for a, b in itertools.product(rays, repeat=2):
         if a == b:
@@ -166,11 +161,7 @@ def test_criterion_06_tree_operator_index():
 
 def test_criterion_07_directed_shift_field():
     n, R = 2, 4
-    rays = [
-        BoundaryPoint(IDENTITY, ReducedWord((Letter(i, s),)))
-        for i in range(n)
-        for s in (1, -1)
-    ] + _random_boundary_points(n, 10)
+    rays = [BoundaryPoint(IDENTITY, g) for g in sphere(n, 1)] + _random_boundary_points(n, 10)
     construction_ok = True
     index_ok = True
     for a in rays:

@@ -211,6 +211,15 @@ class TestInputRules:
         assert main(["final-identity", "--mutate", mutation]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["algebra", "operators", "jv", "untwist"])
+    def test_mutation_rejected_where_no_check_reads_it(self, suite, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"the {suite} suite ran with faults it ignores")
+
+        monkeypatch.setattr(cli, "CHECKS", [dataclasses.replace(c, run=no_work) for c in cli.CHECKS])
+        assert main(["verify", "--suite", suite, "--mutate", "drop:a"]) == 2
+        assert "reads --mutate" in capsys.readouterr().err
+
     def test_rank_checked_by_every_command(self, capsys):
         assert main(["jv", "defect", "--gamma", "a", "--rank", "27"]) == 2
         assert "at most 26" in capsys.readouterr().err

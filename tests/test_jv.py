@@ -268,7 +268,7 @@ class TestWField:
         from boundarylab.words import act
 
         for gamma in [W_("a"), W_("b"), W_("ab")]:
-            a = B("(ba)") if gamma.letters[0].index == 0 else B("(aB)")
+            a = B("(ba)") if str(gamma)[0] in "aA" else B("(aB)")
             R = 4 + 2 * len(gamma)
             Wa = op_W(act(gamma, a), 2, R)
             Winner = op_W(a, 2, R)

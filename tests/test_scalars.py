@@ -1,12 +1,14 @@
 """Gaussian-rational scalars against a reference built on Fraction pairs."""
 
 import dataclasses
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarylab import crossed, cylinders, jv, modules, operators, words
+import boundarylab
 from boundarylab.crossed import verify_v_identities
 from boundarylab.modules import final_identity_check
 from boundarylab.scalars import MINUS_ONE, ONE, ZERO, Scalar
@@ -160,11 +162,44 @@ def test_attributes_cannot_be_set():
     assert s == Scalar(1, 2)
 
 
-def _clear_memo_tables():
-    for mod in (words, cylinders, crossed, operators, jv, modules):
-        for obj in vars(mod).values():
+def _memo_tables() -> dict[str, object]:
+    """Every module-level lru_cache of the package, by "module.name"."""
+    found = {}
+    for info in pkgutil.iter_modules(boundarylab.__path__):
+        mod = importlib.import_module(f"boundarylab.{info.name}")
+        for name, obj in vars(mod).items():
             if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__:
-                obj.cache_clear()
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def _clear_memo_tables():
+    for table in _memo_tables().values():
+        table.cache_clear()
+
+
+def test_memo_table_inventory():
+    # every table is named here, so adding or losing one changes this list
+    assert sorted(_memo_tables()) == [
+        "crossed.dual_coefficient",
+        "cylinders._cached_product",
+        "cylinders._cached_sum",
+        "cylinders._translate_indicator",
+        "cylinders.translate",
+        "cylinders.translate_legs",
+        "jv._last_shift",
+        "jv.edge_basis",
+        "modules._weight",
+        "operators.lambda_monomial",
+        "operators.op_inversion",
+        "operators.op_left",
+        "operators.op_mult",
+        "operators.op_mult_inverted",
+        "operators.op_right",
+        "operators.rho_monomial",
+        "words._ball",
+        "words.multiply",
+    ]
 
 
 def test_certified_identities_never_divide(monkeypatch):

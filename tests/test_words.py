@@ -1,4 +1,5 @@
 import itertools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,6 @@ from boundarylab.config import DomainError
 from boundarylab.words import (
     IDENTITY,
     BoundaryPoint,
-    Letter,
     ReducedWord,
     act,
     ball,
@@ -16,6 +16,7 @@ from boundarylab.words import (
     is_initial,
     meet,
     multiply,
+    next_letters,
     reduce,
     sphere,
 )
@@ -28,7 +29,97 @@ def dist(x: ReducedWord, y: ReducedWord) -> int:
     """Word metric d(x, y) = |x^-1 y|."""
     return len(multiply(x.inverse(), y))
 
-letters2 = st.tuples(st.integers(0, 1), st.sampled_from([1, -1])).map(lambda t: Letter(*t))
+
+class RefLetter(NamedTuple):
+    """Reference letter model: generator `index` when `sign` is +1, its
+    inverse when `sign` is -1."""
+
+    index: int
+    sign: int
+
+    def inverse(self) -> "RefLetter":
+        return RefLetter(self.index, -self.sign)
+
+    def sort_key(self) -> tuple[int, int]:
+        # a < A < b < B < ...
+        return (self.index, 0 if self.sign > 0 else 1)
+
+    def __str__(self) -> str:
+        ch = "abcdefghijklmnopqrstuvwxyz"[self.index]
+        return ch if self.sign > 0 else ch.upper()
+
+
+def encode(l: RefLetter) -> int:
+    """The documented int of a letter: a = 0, A = 1, b = 2, B = 3, ..."""
+    return 2 * l.index + (l.sign < 0)
+
+
+def decode(l: int) -> RefLetter:
+    return RefLetter(l // 2, -1 if l % 2 else 1)
+
+
+def ref_reduce(seq: list[RefLetter]) -> list[RefLetter]:
+    stack: list[RefLetter] = []
+    for l in seq:
+        if stack and stack[-1] == l.inverse():
+            stack.pop()
+        else:
+            stack.append(l)
+    return stack
+
+
+def ref_str(spelling: list[RefLetter]) -> str:
+    return "".join(str(l) for l in spelling) or "1"
+
+
+def ref_sort_key(spelling: list[RefLetter]):
+    return (len(spelling), tuple(l.sort_key() for l in spelling))
+
+
+def ref_word(spelling: list[RefLetter]) -> ReducedWord:
+    """The word of a reduced reference spelling."""
+    return ReducedWord(encode(l) for l in spelling)
+
+
+ref_seqs = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.builds(RefLetter, st.integers(0, n - 1), st.sampled_from([1, -1])), max_size=10)
+)
+
+
+class TestAgainstReferenceLetters:
+    """Int letters agree with the (index, sign) reference model."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ref_seqs, ref_seqs)
+    def test_word_operations_agree(self, s, t):
+        x, y = ref_reduce(s), ref_reduce(t)
+        wx, wy = reduce(encode(l) for l in s), reduce(encode(l) for l in t)
+        assert wx == ref_word(x) and wy == ref_word(y)
+        assert multiply(wx, wy) == ref_word(ref_reduce(x + y))
+        assert wx.inverse() == ref_word([l.inverse() for l in reversed(x)])
+        assert str(wx) == ref_str(x)
+        assert ReducedWord.parse(ref_str(x)) == wx
+        assert (wx < wy) == (ref_sort_key(x) < ref_sort_key(y))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_next_letters_and_shortlex_balls(self, n):
+        letters = [RefLetter(i, s) for i in range(n) for s in (1, -1)]
+        assert [decode(l) for l in next_letters(n, None)] == sorted(letters, key=RefLetter.sort_key)
+        for last in letters:
+            expected = [l for l in sorted(letters, key=RefLetter.sort_key) if l != last.inverse()]
+            assert [decode(l) for l in next_letters(n, encode(last))] == expected
+        words = ball(n, 3)
+        spellings = [[decode(l) for l in w.letters] for w in words]
+        assert spellings == sorted(spellings, key=ref_sort_key)
+
+    def test_ball_hashes_distinct(self):
+        # a letter encoding whose inverse pairs hash alike (signed ints:
+        # hash(-1) == hash(-2)) would collide words that differ in A and B
+        words = ball(3, 4)
+        assert len({hash(w) for w in words}) == len(words)
+
+
+letters2 = st.sampled_from(next_letters(2, None))
 letter_seqs = st.lists(letters2, max_size=10)
 
 
@@ -37,16 +128,15 @@ class TestReduce:
         assert reduce(ReducedWord.parse("a").letters + ReducedWord.parse("A").letters) == IDENTITY
 
     def test_inner_cancellation(self):
-        seq = [Letter(0, 1), Letter(1, 1), Letter(1, -1), Letter(0, 1)]
+        seq = W("ab").letters + W("Ba").letters
         assert reduce(seq) == W("aa")
 
     def test_idempotent_exhaustive(self):
         # exhaustive sweep of all letter sequences of length <= 6 is too large
         # to be fast; length <= 4 over n=2 already covers every cancellation
         # pattern, and the hypothesis sweep below extends to length 10
-        letters = [Letter(i, s) for i in range(2) for s in (1, -1)]
         for k in range(5):
-            for seq in itertools.product(letters, repeat=k):
+            for seq in itertools.product(next_letters(2, None), repeat=k):
                 r = reduce(seq)
                 assert reduce(r.letters) == r
 
@@ -246,14 +336,8 @@ def sorted_ball(n: int, R: int) -> list[ReducedWord]:
     """Reference: every sphere built from the last one and then sorted."""
     out = [IDENTITY]
     frontier = [IDENTITY]
-    letters = [g.letters[0] for g in generators(n)]
     for _ in range(R):
-        nxt = [
-            ReducedWord(w.letters + (l,))
-            for w in frontier
-            for l in letters
-            if not (w.letters and w.letters[-1] == l.inverse())
-        ]
+        nxt = [w * g for w in frontier for g in generators(n) if len(w * g) > len(w)]
         nxt.sort(key=ReducedWord.sort_key)
         out.extend(nxt)
         frontier = nxt
@@ -261,10 +345,8 @@ def sorted_ball(n: int, R: int) -> list[ReducedWord]:
 
 
 def is_reduced(w: ReducedWord) -> bool:
-    return all(
-        not (x.index == y.index and x.sign == -y.sign)
-        for x, y in zip(w.letters, w.letters[1:])
-    )
+    spelling = [decode(l) for l in w.letters]
+    return ref_reduce(spelling) == spelling
 
 
 class TestGrownBall:
@@ -289,7 +371,7 @@ class TestGrownBall:
             sphere(2, 40)
 
     def test_unreduced_letters_rejected(self):
-        a, A, b = Letter(0, 1), Letter(0, -1), Letter(1, 1)
+        (a,), (A,), (b,) = W("a").letters, W("A").letters, W("b").letters
         with pytest.raises(DomainError):
             ReducedWord((a, A))
         with pytest.raises(DomainError):
