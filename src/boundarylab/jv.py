@@ -9,16 +9,16 @@ each direction to infinity the edge space folds back onto the vertex
 space, turning b into a shift W that moves one step toward the origin
 along the chosen ray and fixes everything off it.
 
-Each operator is a column rule (basis label to a short list of
+Each operator but b is a column rule (basis label to a short list of
 (row, value) pairs) applied to a declared set of columns by
-`operators.on_columns`.  The full truncations to a ball (`op_b`,
-`op_left_edges`, `op_U`, `op_W_closed_form`) apply the rule to every
-label of the ball.  A certificate builds only the columns it reads:
-the index of b reads the interior ball, and b moves no label outward, so
-the truncation at the interior radius already has the columns of the
+`operators.on_columns`; `op_b` reads its entries (e, e.far) off the
+edge basis.  A full truncation to a ball holds every label of the ball,
+but a certificate builds only the columns it reads: the index of b
+reads the interior ball, and b moves no label outward, so the
+truncation at the interior radius already has the columns of the
 untruncated operator; the conjugation defect reads the columns of the
-interior ball(n, R - 2|gamma|) and builds each factor only on the image of
-the previous one, which never leaves ball(n, R).
+interior ball(n, R - 2|gamma|) and builds each factor only on the image
+of the previous one, which never leaves ball(n, R).
 
 A direction to infinity is the word of its first R + 1 letters, read
 once from a boundary point or from a given finite prefix (a shorter

@@ -3,22 +3,22 @@ and the operator calculus that reduces the boundary cycle to the tree
 shift.
 
 A module vector is a finitely supported map from group elements to
-algebra elements.  Every module map here is right linear, so its kernel
-determines it: for each input label g, the column holds one term per
-output label h and group element gamma, the left multiplier f . u_gamma
-(or c . u_gamma) placed at h.  A map sends the monomial F . u_k at g to
-the coefficients f . translate(gamma, F) keyed by (h, gamma k); applying
-it sums those images, and composing two maps multiplies their kernels.
+algebra elements.  Every module map is right linear, so its column at a
+label g, the image of the constant function placed at g, determines it:
+one multiplier f . u_gamma per output label h and group element gamma.
+Applying a map sums the images of monomials, and composing two maps
+multiplies their kernels.  A pair element b = sum_delta F_delta . u_delta
+acts by one lift, `op_tau(b)`, whose column at g holds each F_delta's
+specialization at g delta^-1.  The lifted shift is the lift of w + 1:
+Vbar = tau(v), Pbar = tau(chi) and Fbar = tau(v - chi) + 1, and a fault
+is an edit of v.
 
-Because every map is right linear, its column at g -- the image of the
-constant function placed at g -- determines it, and two maps agree on
-a ball exactly when their columns there agree.  A map keeps no table;
-`maps_agree` and `iota_check` share one loop that reads each column
-once per label and compares the images of bounded-depth indicators
-there.  At depth 0 these are the columns; a positive depth matters only
-where a gate counts the vectors checked.  Right linearity extends such
-a certificate to general coefficients with parameters in range, which
-is the only sense in which the word "equal" is used below.
+Two maps agree on a ball exactly when their columns there agree.  A map
+keeps no table; `maps_agree` and `iota_check` share one loop that reads
+each column once per label and compares the images of bounded-depth
+indicators there.  Right linearity extends such a certificate to general
+coefficients with parameters in range, which is the only sense in which
+the word "equal" is used below.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .config import DomainError, check_depth, check_radius
-from .crossed import CrossedElement, PairElement, dual_coefficient
+from .crossed import CrossedElement, PairElement, element_chi, element_v
 from .cylinders import (
     BiCylinderFunction,
     CylinderFunction,
@@ -37,7 +37,7 @@ from .cylinders import (
     translate,
 )
 from .jv import wbar_apply
-from .scalars import ONE, Scalar
+from .scalars import MINUS_ONE, ONE, Scalar
 from .words import IDENTITY, ReducedWord, ball, multiply, sphere
 
 # One kernel term (h, c, f, gamma): the multiplier c . f . u_gamma placed
@@ -62,14 +62,8 @@ def _merged(terms: Iterable[Term]) -> tuple[Term, ...]:
     )
 
 
-def _freeze_inner(inner: Mapping[ReducedWord, CylinderFunction] | None) -> tuple | None:
-    if inner is None:
-        return None
-    return tuple(sorted(inner.items(), key=lambda kv: kv[0].sort_key()))
-
-
 @lru_cache(maxsize=None)
-def _weight(F: BiCylinderFunction, inner_items: tuple | None, g: ReducedWord):
+def _weight(F: BiCylinderFunction, inner_items: frozenset | None, g: ReducedWord):
     inner = dict(inner_items) if inner_items is not None else None
     return f_prime_value(F, g, inner)
 
@@ -206,16 +200,27 @@ def op_tau_gamma(gamma: ReducedWord) -> ModuleMap:
     )
 
 
-def op_tau_F(
-    F: BiCylinderFunction,
-    inner: Mapping[ReducedWord, CylinderFunction] | None = None,
+def op_tau(
+    b: PairElement,
+    inner: Mapping[ReducedWord, Mapping[ReducedWord, CylinderFunction] | None] | None = None,
+    name: str = "tau(b)",
 ) -> ModuleMap:
-    """Diagonal action of a two-variable function: at each label, left
-    multiplication by its one-variable specialization there."""
-    if not F.vanishes_on_diagonal():
-        raise DomainError("two-variable coefficient must vanish on the diagonal")
-    frozen = _freeze_inner(inner)
-    return ModuleMap("tau(F)", lambda g: [(g, ONE, _weight(F, frozen, g), IDENTITY)])
+    """Diagonal action of a pair element b = sum_delta F_delta . u_delta:
+    its column at g has one term per delta, the specialization of F_delta
+    at h = g delta^-1 placed at h, and a zero weight adds no term.
+    `inner[delta]` gives the small-ball values of that specialization; a
+    missing delta takes the canonical extension."""
+    frozen = {delta: frozenset(x.items()) for delta, x in (inner or {}).items() if x}
+    terms = [(delta.inverse(), F, frozen.get(delta)) for delta, F in b.terms.items()]
+
+    def rule(g: ReducedWord) -> Iterable[Term]:
+        for delta_inverse, F, values in terms:
+            h = multiply(g, delta_inverse) if len(delta_inverse) else g
+            weight = _weight(F, values, h)
+            if not weight.is_zero():
+                yield h, ONE, weight, IDENTITY
+
+    return ModuleMap(name, rule)
 
 
 def op_tau_monomial(
@@ -223,7 +228,20 @@ def op_tau_monomial(
     delta: ReducedWord,
     inner: Mapping[ReducedWord, CylinderFunction] | None = None,
 ) -> ModuleMap:
-    return op_tau_F(F, inner) @ op_tau_gamma(delta)
+    """The one-term lift of F . u_delta: the label shift by delta, then
+    the diagonal action of F."""
+    if not F.vanishes_on_diagonal():
+        raise DomainError("two-variable coefficient must vanish on the diagonal")
+    return op_tau(PairElement(F.rank, {delta: F}), {delta: inner}, f"tau(F u_{delta})")
+
+
+def op_tau_F(
+    F: BiCylinderFunction,
+    inner: Mapping[ReducedWord, CylinderFunction] | None = None,
+) -> ModuleMap:
+    """Diagonal action of a two-variable function, the lift of F . u_1:
+    at each label, left multiplication by its specialization there."""
+    return op_tau_monomial(F, IDENTITY, inner)
 
 
 def op_mult_label(f: CylinderFunction) -> ModuleMap:
@@ -341,7 +359,7 @@ def decay_check(
     near x against multiplying by f itself, weighted by the label's
     specialization of F; certify the difference dies beyond a threshold."""
     check_radius(R)
-    frozen = _freeze_inner(inner)
+    frozen = None if inner is None else frozenset(inner.items())
     threshold, count = 0, 0
     for x in ball(f.rank, R):
         weight = _weight(F, frozen, x)
@@ -366,9 +384,11 @@ def iota_check(
     right linear, so they are compared on their columns only; the decays
     are computed only if some column differs, once per coefficient."""
     check_radius(R)
+    if b.is_zero():
+        raise DomainError("the pair element has no terms, so there is nothing to compare")
     n = f.rank
     checked, bad, worst = 0, [], 0
-    max_shift = max((len(delta) for delta in b.terms), default=0)
+    max_shift = max(len(delta) for delta in b.terms)
     for delta, F in sorted(b.terms.items(), key=lambda kv: kv[0].sort_key()):
         tau = op_tau_monomial(F, delta, inner)
         T, S = tau @ op_mult_label(f), tau @ op_phi_function(f)
@@ -388,35 +408,30 @@ def iota_check(
 
 # -- the lifted shift ------------------------------------------------
 
-def _shift_terms(n: int) -> list[tuple[ReducedWord, BiCylinderFunction, dict]]:
-    """Each generator with its dual coefficient and the preferred
-    small-ball values of that coefficient's specialization: at the
-    origin it is the cylinder indicator itself."""
-    return [(g, dual_coefficient(n, g), {IDENTITY: chi(n, g)}) for g in sphere(n, 1)]
+def _lift(b: PairElement, origin: Scalar, name: str) -> ModuleMap:
+    """tau(b) with the small-ball values of the lifted weights: at the
+    origin, a generator's dual coefficient takes its own cylinder
+    indicator and the coefficient at the identity the constant `origin`."""
+    n = b.rank
+    inner = {g: {IDENTITY: chi(n, g)} for g in sphere(n, 1)}
+    inner[IDENTITY] = {IDENTITY: CylinderFunction.constant(n, origin)}
+    return op_tau(b, inner, name)
+
+
+def _dual_with_fault(n: int, drop: ReducedWord | None, perturb: ReducedWord | None) -> PairElement:
+    """The dual element v, edited by the fault-injection hooks of the
+    sensitivity tests: `drop` removes a generator's term, `perturb` doubles it."""
+    terms = dict(element_v(n).terms)
+    terms.pop(drop, None)
+    if perturb in terms:
+        terms[perturb] = terms[perturb].scale(Scalar.of(2))
+    return PairElement(n, terms)
 
 
 def build_Vbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | None = None) -> ModuleMap:
-    """Sum over generators of the weighted forward label shift.
-
-    The optional drop and perturb arguments are fault-injection hooks
-    for sensitivity tests; production callers leave them unset.
-    """
-    terms = []
-    for gamma, F, inner in _shift_terms(n):
-        if drop is not None and gamma == drop:
-            continue
-        if perturb is not None and gamma == perturb:
-            F = F.scale(Scalar.of(2))
-        terms.append((gamma, F, _freeze_inner(inner)))
-
-    def rule(g: ReducedWord) -> Iterable[Term]:
-        for gamma, F, frozen in terms:
-            h = multiply(g, gamma.inverse())
-            weight = _weight(F, frozen, h)
-            if not weight.is_zero():
-                yield h, ONE, weight, IDENTITY
-
-    return ModuleMap("Vbar", rule)
+    """The lift tau(v) of the dual element: one weighted forward label
+    shift per generator."""
+    return _lift(_dual_with_fault(n, drop, perturb), ONE, "Vbar")
 
 
 def build_Vbar_closed_form(n: int) -> ModuleMap:
@@ -429,31 +444,15 @@ def build_Vbar_closed_form(n: int) -> ModuleMap:
 
 
 def build_Pbar(n: int) -> ModuleMap:
-    """Diagonal weight: at each label, the sum of all specialized dual
-    coefficients, which is the indicator of the label's own cylinder."""
-    terms = [(F, _freeze_inner(inner)) for _, F, inner in _shift_terms(n)]
-
-    def rule(g: ReducedWord) -> Iterable[Term]:
-        total = CylinderFunction.zero(n)
-        for F, frozen in terms:
-            total = total + _weight(F, frozen, g)
-        return [(g, ONE, total, IDENTITY)]
-
-    return ModuleMap("Pbar", rule)
+    """The lift tau(chi) of the projection: a diagonal weight, at each
+    label the indicator of the label's own cylinder."""
+    return _lift(element_chi(n), ONE, "Pbar")
 
 
 def build_Fbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | None = None) -> ModuleMap:
-    """The lift Vbar - Pbar + 1, column by column."""
-    V = build_Vbar(n, drop=drop, perturb=perturb)
-    P = build_Pbar(n)
-
-    def rule(g: ReducedWord) -> Iterable[Term]:
-        yield from V.rule(g)
-        for h, c, f, gamma in P.rule(g):
-            yield h, -c, f, gamma
-        yield g, ONE, None, IDENTITY
-
-    return ModuleMap("Fbar", rule)
+    """The lift tau(v - chi) + 1 of w + 1; a fault is an edit of v."""
+    tau = _lift(_dual_with_fault(n, drop, perturb) - element_chi(n), MINUS_ONE, "tau(w)")
+    return ModuleMap("Fbar", lambda g: [*tau.rule(g), (g, ONE, None, IDENTITY)])
 
 
 def build_Wbar(n: int, R: int) -> ModuleMap:

@@ -7,10 +7,10 @@ only on an interior sub-ball that no propagation path can leave; on that
 interior, small-radius assertions are exact theorems about the full
 infinite-dimensional operators, not approximations.
 
-Every concrete operator is a column rule (basis label to a short list of
-(row, value) pairs) applied by `on_columns`, the one constructor from
-labels; the only other way to make an operator is arithmetic on
-operators (`+`, `scale`, `@`, `adjoint`).
+A concrete operator is a column rule (basis label to a short list of
+(row, value) pairs) applied by `on_columns`, or, for `jv.op_b`, its
+entries handed to `TruncatedOperator` directly; the only other way to
+make an operator is arithmetic on operators (`+`, `scale`, `@`, `adjoint`).
 
 A declared basis is a `Basis`: the ordered labels and their label set,
 built once.  Operators share their declared bases: one made by

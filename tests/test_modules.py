@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarylab import modules
+from boundarylab import cylinders, modules
 from boundarylab.config import DomainError, ResourceLimitError
 from boundarylab.crossed import CrossedElement, PairElement, dual_coefficient
-from boundarylab.cylinders import CylinderFunction, chi, tensor
+from boundarylab.cylinders import CylinderFunction, chi, f_prime_value, tensor
 from boundarylab.modules import (
     EqualityCertificate,
     ModuleMap,
@@ -29,6 +29,7 @@ from boundarylab.modules import (
     op_phi,
     op_phi_function,
     op_phi_unitary,
+    op_tau,
     op_tau_F,
     op_tau_gamma,
     op_tau_monomial,
@@ -94,6 +95,54 @@ def iota_pictures():
     return [tau @ op_mult_label(f), tau @ op_phi_function(f)]
 
 
+def reference_tau_monomial(F, delta, inner=None):
+    """tau(F . u_delta) as a composition: the diagonal action of F, one
+    weight per label, after the label shift by delta."""
+    tau_F = ModuleMap("tau(F)", lambda g: [(g, ONE, f_prime_value(F, g, inner), IDENTITY)])
+    return tau_F @ op_tau_gamma(delta)
+
+
+def reference_vbar(n, drop=None, perturb=None):
+    """The per-generator Vbar rule: each generator's dual coefficient,
+    left out when dropped and doubled when perturbed, weighted at the
+    shifted label, with its own cylinder indicator at the origin."""
+    terms = [
+        (gamma, dual_coefficient(n, gamma).scale(Scalar.of(2 if gamma == perturb else 1)))
+        for gamma in sphere(n, 1) if gamma != drop
+    ]
+
+    def rule(g):
+        for gamma, F in terms:
+            h = multiply(g, gamma.inverse())
+            weight = f_prime_value(F, h, {IDENTITY: chi(n, gamma)})
+            if not weight.is_zero():
+                yield h, ONE, weight, IDENTITY
+
+    return ModuleMap("Vbar", rule)
+
+
+def reference_pbar(n):
+    """The per-generator Pbar weight: at each label, the sum of every
+    generator's specialized dual coefficient."""
+    def rule(g):
+        total = CylinderFunction.zero(n)
+        for gamma in sphere(n, 1):
+            total = total + f_prime_value(dual_coefficient(n, gamma), g, {IDENTITY: chi(n, gamma)})
+        return [(g, ONE, total, IDENTITY)]
+
+    return ModuleMap("Pbar", rule)
+
+
+def reference_fbar(n, drop=None, perturb=None):
+    """Vbar - Pbar + 1 from the per-generator rules, column by column."""
+    V, P = reference_vbar(n, drop, perturb), reference_pbar(n)
+    return ModuleMap("Fbar", lambda g: [
+        *V.rule(g),
+        *((h, -c, f, gamma) for h, c, f, gamma in P.rule(g)),
+        (g, ONE, None, IDENTITY),
+    ])
+
+
 def spanning_iota_check(b, f, R, d, inner_for=None):
     """The spanning-vector form of `iota_check`, the reference for its
     column form: both pictures applied to every indicator of depth <= d
@@ -106,8 +155,8 @@ def spanning_iota_check(b, f, R, d, inner_for=None):
     limit = 0
     for delta, F in sorted(b.terms.items(), key=lambda kv: kv[0].sort_key()):
         inner = inner_for(delta) if inner_for is not None else None
-        T = op_tau_monomial(F, delta, inner) @ op_mult_label(f)
-        S = op_tau_monomial(F, delta, inner) @ op_phi_function(f)
+        T = reference_tau_monomial(F, delta, inner) @ op_mult_label(f)
+        S = reference_tau_monomial(F, delta, inner) @ op_phi_function(f)
         cert = decay_check(F, f, R, inner)
         limit = max(limit, cert.threshold + max_shift)
         for key, xi in spanning_vectors(n, R - max_shift, d):
@@ -287,6 +336,11 @@ class TestIota:
         b = PairElement(2, {IDENTITY: F_a()})
         cert = iota_check(b, one(), 5, inner_a())
         assert cert.equal and cert.first_discrepancy is None
+
+    def test_no_terms_rejected(self):
+        # a pair element with no terms has no columns to compare
+        with pytest.raises(DomainError):
+            iota_check(PairElement.zero(2), chi(2, W("a")), 3)
 
     def test_shifted_monomial_pass(self):
         b = PairElement(2, {W("a"): F_a()})
@@ -493,10 +547,11 @@ def termwise_apply(column, xi):
 
 
 def termwise_fbar(n, drop=None, perturb=None):
-    """Fbar = Vbar - Pbar + 1 applied map by map, so its merged column
-    at g (one term 1 - P_g) is checked against the three separate terms."""
-    V, P = build_Vbar(n, drop=drop, perturb=perturb), build_Pbar(n)
-    return lambda xi: termwise_apply(V.column, xi) - termwise_apply(P.column, xi) + xi
+    """Fbar = Vbar - Pbar + 1 from the per-generator rules, applied one
+    kernel term at a time, so its merged column at g (one term 1 - P_g)
+    is checked against the three separate terms."""
+    rule = reference_fbar(n, drop, perturb).rule
+    return lambda xi: termwise_apply(rule, xi)
 
 
 SCALARS = [ONE, MINUS_ONE, Scalar.of(2, 1)]
@@ -609,3 +664,48 @@ def test_maps_agree_reads_each_rule_once_per_label():
     cert = maps_agree(T, S, 2, 3, 2)
     assert cert.equal and cert.checked == len(ball(2, 3)) * len(spanning_indicators(2, 2))
     assert reads == {"Fbar": len(ball(2, 3)), "Wbar": len(ball(2, 3))}
+
+
+# -- one lift for every pair element -----------------------------------
+
+@pytest.mark.parametrize("n, R", [(2, 4), (3, 3)])
+def test_lifts_match_per_generator_rules(n, R):
+    # tau(chi), then tau(v) and tau(v - chi) + 1 with no fault and with
+    # each of the 4n drop/perturb faults, against the per-generator rules
+    pairs = [(build_Pbar(n), reference_pbar(n))]
+    for fault in [{}] + [{kind: g} for kind in ("drop", "perturb") for g in generators(n)]:
+        pairs.append((build_Vbar(n, **fault), reference_vbar(n, **fault)))
+        pairs.append((build_Fbar(n, **fault), reference_fbar(n, **fault)))
+    for T, S in pairs:
+        for g in ball(n, R):
+            assert set(T.column(g)) == set(S.column(g)), (T.name, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_op_tau_is_sum_of_composed_monomials(n, seed):
+    rng = random.Random(seed)
+    terms, inner = {}, {}
+    for delta in rng.sample(ball(n, 1), rng.randint(1, 3)):
+        terms[delta] = dual_coefficient(n, rng.choice(generators(n))).scale(rng.choice(SCALARS))
+        if rng.random() < 0.5:
+            inner[delta] = {IDENTITY: random_function(rng, n)}
+    b = PairElement(n, terms)
+    monomials = {
+        delta: reference_tau_monomial(F, delta, inner.get(delta)) for delta, F in b.terms.items()
+    }
+    total = ModuleMap("sum", lambda g: [t for T in monomials.values() for t in T.column(g)])
+    tau = op_tau(b, inner)
+    for g in ball(n, 2):
+        assert set(tau.column(g)) == set(total.column(g)), g
+        for delta, F in b.terms.items():
+            lift = op_tau_monomial(F, delta, inner.get(delta))
+            assert set(lift.column(g)) == set(monomials[delta].column(g)), (delta, g)
+
+
+def test_flagship_sums_once_per_label(memo_tables):
+    # the only cylinder sum is the weight at a label plus the identity term there
+    for table in memo_tables.values():
+        table.cache_clear()
+    assert final_identity_check(2, 4, 0).equal
+    assert cylinders._cached_sum.cache_info().misses <= len(ball(2, 4))

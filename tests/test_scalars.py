@@ -1,14 +1,11 @@
 """Gaussian-rational scalars against a reference built on Fraction pairs."""
 
 import dataclasses
-import importlib
-import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import boundarylab
 from boundarylab.crossed import verify_v_identities
 from boundarylab.modules import final_identity_check
 from boundarylab.scalars import MINUS_ONE, ONE, ZERO, Scalar
@@ -162,25 +159,9 @@ def test_attributes_cannot_be_set():
     assert s == Scalar(1, 2)
 
 
-def _memo_tables() -> dict[str, object]:
-    """Every module-level lru_cache of the package, by "module.name"."""
-    found = {}
-    for info in pkgutil.iter_modules(boundarylab.__path__):
-        mod = importlib.import_module(f"boundarylab.{info.name}")
-        for name, obj in vars(mod).items():
-            if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__:
-                found[f"{info.name}.{name}"] = obj
-    return found
-
-
-def _clear_memo_tables():
-    for table in _memo_tables().values():
-        table.cache_clear()
-
-
-def test_memo_table_inventory():
+def test_memo_table_inventory(memo_tables):
     # every table is named here, so adding or losing one changes this list
-    assert sorted(_memo_tables()) == [
+    assert sorted(memo_tables) == [
         "crossed.dual_coefficient",
         "cylinders._cached_product",
         "cylinders._cached_sum",
@@ -202,7 +183,7 @@ def test_memo_table_inventory():
     ]
 
 
-def test_certified_identities_never_divide(monkeypatch):
+def test_certified_identities_never_divide(monkeypatch, memo_tables):
     calls = []
     divide = Scalar.__truediv__
 
@@ -210,7 +191,8 @@ def test_certified_identities_never_divide(monkeypatch):
         calls.append((self, other))
         return divide(self, other)
 
-    _clear_memo_tables()
+    for table in memo_tables.values():
+        table.cache_clear()
     monkeypatch.setattr(Scalar, "__truediv__", counted)
     assert final_identity_check(2, 2, 1).equal
     assert all(r.passed for r in verify_v_identities(2))
