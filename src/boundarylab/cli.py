@@ -37,6 +37,7 @@ from .modules import (
     inner_product,
     iota_check,
     decay_check,
+    dual_inner,
     spanning_vectors,
     untwist_U,
 )
@@ -305,7 +306,7 @@ def _near_constancy_decay(n: int, R: int, d: int, faults: dict) -> Iterator[Row]
     fs = [chi(n, u) for u in sphere(n, 1)]
     certs = []
     for gamma in sphere(n, 1):
-        F, inner = dual_coefficient(n, gamma), {IDENTITY: chi(n, gamma)}
+        F, inner = dual_coefficient(n, gamma), dual_inner(n, gamma)
         certs += [decay_check(F, f, R, inner) for f in fs]
     yield (
         "untwist.near-constancy-decay", {"rank": n, "radius": R}, all(c.passed for c in certs),
@@ -318,7 +319,7 @@ def _near_constancy_decay(n: int, R: int, d: int, faults: dict) -> Iterator[Row]
 def _two_picture_agreement(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     a = ReducedWord.parse("a")
     fs = [chi(n, u) for u in sphere(n, 1)][: n + 1]
-    inner = {IDENTITY: chi(n, a)}
+    inner = dual_inner(n, a)
     certs = []
     for gamma in [IDENTITY] + sphere(n, 1):
         b = PairElement(n, {gamma: dual_coefficient(n, a)})

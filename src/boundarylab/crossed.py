@@ -124,7 +124,7 @@ class _GroupSum:
 
     def __repr__(self) -> str:
         def legs(k):
-            return k if isinstance(k, tuple) else (k,)
+            return (k,) if isinstance(k, ReducedWord) else k
 
         parts = [
             f"[{F!r}]" + "(x)".join(f"u({g})" for g in legs(k))

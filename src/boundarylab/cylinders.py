@@ -53,7 +53,7 @@ def word_extensions(w: ReducedWord, k: int, n: int) -> list[ReducedWord]:
     """The reduced words that extend w by k letters, in shortlex order."""
     if not k:
         return [w]
-    spellings = [w.letters]
+    spellings = [w]
     for _ in range(k):
         spellings = [t + (l,) for t in spellings for l in next_letters(n, t[-1] if t else None)]
     return [ReducedWord(t) for t in spellings]
@@ -105,12 +105,12 @@ class CylinderFunction:
         if depth < self.depth:
             raise DomainError(f"cannot refine depth {self.depth} down to {depth}")
         check_depth(depth)
-        if all(len(w.letters) == depth for w in self.table):
+        if all(len(w) == depth for w in self.table):
             return self.table
         return {
             ext: v
             for w, v in self.table.items()
-            for ext in word_extensions(w, depth - len(w.letters), self.rank)
+            for ext in word_extensions(w, depth - len(w), self.rank)
         }
 
     # -- evaluation --------------------------------------------------
@@ -120,7 +120,7 @@ class CylinderFunction:
 
     def extend(self, x: ReducedWord) -> Scalar:
         """Canonical extension to the group: zero inside the ball B_{d-1}."""
-        if len(x.letters) < self.depth:
+        if len(x) < self.depth:
             return ZERO
         v = _cell_at(self.table, x)
         return ZERO if v is None else v
@@ -180,7 +180,7 @@ def _canonical_cells(
     length of its deepest cell, which must lie within the depth cap."""
     cells = {w: v for w, v in table.items() if v}
     _merge_siblings(rank, cells)
-    depth = max([len(w.letters) for w in cells], default=0)
+    depth = max([len(w) for w in cells], default=0)
     check_depth(depth)
     return cells, depth
 
@@ -192,11 +192,11 @@ def _merge_siblings(rank: int, cells: dict[ReducedWord, Cell]) -> None:
         return
     levels: dict[int, list[ReducedWord]] = {}
     for w in cells:
-        levels.setdefault(len(w.letters), []).append(w)
+        levels.setdefault(len(w), []).append(w)
     for k in range(max(levels), 0, -1):
         groups: dict[tuple[int, ...], list[ReducedWord]] = {}
         for w in levels.get(k, ()):
-            groups.setdefault(w.letters[:-1], []).append(w)
+            groups.setdefault(w[:-1], []).append(w)
         for parent, ws in groups.items():
             if len(ws) != (2 * rank - 1 if parent else 2 * rank):
                 continue
@@ -219,9 +219,9 @@ def _fill_around(
 ) -> None:
     """Give `value` to the cells that partition the cylinder at `cell`
     outside the disjoint cylinders `inside`, all strictly below it."""
-    k = len(cell.letters)
-    path = {v.letters[:j] for v in inside for j in range(k, len(v.letters))}
-    taken = path | {v.letters for v in inside}
+    k = len(cell)
+    path = {v[:j] for v in inside for j in range(k, len(v))}
+    taken = path.union(inside)
     for p in path:
         for l in next_letters(rank, p[-1] if p else None):
             if p + (l,) not in taken:
@@ -236,17 +236,15 @@ def _plain_add(
     out = dict(b)
     split: dict[ReducedWord, tuple[Cell, list[ReducedWord]]] = {}
     for u, x in a.items():
-        ul = u.letters
-        k = len(ul)
+        k = len(u)
         inside = []
         for v, y in b.items():
-            vl = v.letters
-            if len(vl) > k:
-                if vl[:k] == ul:
+            if len(v) > k:
+                if v[:k] == u:
                     inside.append(v)
-            elif ul[: len(vl)] == vl:
+            elif u[: len(v)] == v:
                 out[u] = y + x
-                if len(vl) < k:
+                if len(v) < k:
                     split.setdefault(v, (y, []))[1].append(u)
                 break
         else:
@@ -268,14 +266,12 @@ def _plain_mul(
     """The deeper cell of every nested pair of cells, one from each table."""
     out = {}
     for u, x in a.items():
-        ul = u.letters
-        k = len(ul)
+        k = len(u)
         for v, y in b.items():
-            vl = v.letters
-            if len(vl) >= k:
-                if vl[:k] == ul:
+            if len(v) >= k:
+                if v[:k] == u:
                     out[v] = x * y
-            elif ul[: len(vl)] == vl:
+            elif u[: len(v)] == v:
                 out[u] = x * y
                 break
     return out
@@ -283,10 +279,8 @@ def _plain_mul(
 
 def _cell_at(table: Mapping[ReducedWord, Cell], x: ReducedWord) -> Cell | None:
     """The value of the cell containing the words that begin with x."""
-    xl = x.letters
     for w, v in table.items():
-        wl = w.letters
-        if xl[: len(wl)] == wl:
+        if x[: len(w)] == w:
             return v
     return None
 
@@ -326,7 +320,7 @@ def _translate_indicator(gamma: ReducedWord, w: ReducedWord, n: int) -> tuple[Re
     g1 = gamma.prefix(len(gamma) - len(w))
     return tuple(
         cell
-        for l in next_letters(n, w.letters[-1])
+        for l in next_letters(n, w[-1])
         for cell in _translate_indicator(g1, ReducedWord((l,)), n)
     )
 
@@ -435,7 +429,7 @@ class BiCylinderFunction:
         out = {}
         for u, g in self.table.items():
             column = g.refine(self.depth2)
-            for ue in word_extensions(u, self.depth1 - len(u.letters), self.rank):
+            for ue in word_extensions(u, self.depth1 - len(u), self.rank):
                 for v, c in column.items():
                     out[(ue, v)] = c
         return out

@@ -58,7 +58,7 @@ class Edge:
     __slots__ = ("far", "norm")
 
     def __init__(self, far: ReducedWord):
-        norm = len(far.letters)
+        norm = len(far)
         if not norm:
             raise DomainError("origin has no parent edge")
         _set_far(self, far)
@@ -123,7 +123,7 @@ def _ray_prefix(a: BoundaryPoint | ReducedWord, R: int) -> ReducedWord:
 
 def _b_column(x: ReducedWord) -> tuple[tuple[Edge, Scalar], ...]:
     """b sends a vertex to its parent edge and kills the origin."""
-    return ((Edge(x), ONE),) if x.letters else ()
+    return ((Edge(x), ONE),) if x else ()
 
 
 def _left_edge_column(gamma: ReducedWord) -> Column:
@@ -233,9 +233,9 @@ def _last_shift(prefix: ReducedWord, n: int, R: int) -> TruncatedOperator:
 def w_column(prefix: ReducedWord, x: ReducedWord) -> ReducedWord | None:
     """Target vertex of the directed-shift column at x, given only the
     ray prefix to depth |x|; None means the column is zero."""
-    if not x.letters:
+    if not x:
         return None
-    if len(prefix.letters) < len(x.letters):
+    if len(prefix) < len(x):
         raise DomainError("prefix shorter than the column label")
     return x.parent() if is_initial(x, prefix) else x
 

@@ -408,12 +408,18 @@ def iota_check(
 
 # -- the lifted shift ------------------------------------------------
 
+def dual_inner(n: int, gamma: ReducedWord) -> dict[ReducedWord, CylinderFunction]:
+    """The small-ball value of the weight of gamma's dual coefficient: at
+    the origin, the indicator of gamma's own cylinder."""
+    return {IDENTITY: chi(n, gamma)}
+
+
 def _lift(b: PairElement, origin: Scalar, name: str) -> ModuleMap:
-    """tau(b) with the small-ball values of the lifted weights: at the
-    origin, a generator's dual coefficient takes its own cylinder
-    indicator and the coefficient at the identity the constant `origin`."""
+    """tau(b) with the small-ball values of the lifted weights: a
+    generator's dual coefficient takes `dual_inner`, and the coefficient
+    at the identity the constant `origin`."""
     n = b.rank
-    inner = {g: {IDENTITY: chi(n, g)} for g in sphere(n, 1)}
+    inner = {g: dual_inner(n, g) for g in sphere(n, 1)}
     inner[IDENTITY] = {IDENTITY: CylinderFunction.constant(n, origin)}
     return op_tau(b, inner, name)
 

@@ -37,7 +37,7 @@ Column = Callable[[Label], Iterable[tuple[Label, Scalar]]]
 def label_norm(label) -> int:
     """Distance of a basis label from the basepoint (word length)."""
     if isinstance(label, ReducedWord):
-        return len(label.letters)
+        return len(label)
     return label.norm  # edge labels carry their own norm
 
 
@@ -251,6 +251,10 @@ def exact_rank(rows: Iterable[Mapping[Label, Scalar]]) -> int:
 
     rank = 0
     for raw in rows:
+        if len(raw) == 1 and next(iter(raw)) not in pivots and all(raw.values()):
+            pivots[next(iter(raw))] = raw  # its own pivot, uncopied: pivots are only read
+            rank += 1
+            continue
         row = {c: v for c, v in raw.items() if v}
         while row:
             lead = next(iter(row)) if len(row) == 1 else min(row, key=colkey)

@@ -74,6 +74,8 @@ class Scalar:
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        if other is ONE or self is ONE:
+            return self if other is ONE else other
         if not self.im and not other.im:
             return Scalar(self.re * other.re, self.im)
         return Scalar(
@@ -82,7 +84,7 @@ class Scalar:
         )
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return Scalar(self.re, -self.im) if self.im else self
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         denom = other.re * other.re + other.im * other.im

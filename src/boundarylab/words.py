@@ -17,6 +17,11 @@ length.  Only this module reads that encoding; other modules ask
 `next_letters(n, last)` for the letters that may follow `last` in a
 reduced word.
 
+A word is the tuple of its letters: it hashes, compares equal and slices
+(to a plain tuple) as that tuple, but `*` is group multiplication and
+order is shortlex.  Only public construction checks reducedness;
+products, inverses, prefixes, parents and balls skip the check.
+
 Text syntax: generators are lowercase letters "a", "b", ...; their
 inverses are the corresponding uppercase letters; the identity is "1".
 A boundary point is written "head(period)", e.g. "ab(ba)".
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 from .config import DomainError, check_radius
@@ -40,18 +45,16 @@ def next_letters(n: int, last: int | None) -> tuple[int, ...]:
     return tuple(l for l in range(2 * n) if last is None or l != last ^ 1)
 
 
-class ReducedWord:
-    """An element of F_n as its unique freely reduced spelling."""
+class ReducedWord(tuple):
+    """An element of F_n as its unique freely reduced spelling: the tuple
+    of its letters, ordered shortlex."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
 
     def __init__(self, letters: Iterable[int] = ()):
-        letters = tuple(letters)
-        for x, y in zip(letters, letters[1:]):
+        for x, y in zip(self, self[1:]):
             if x ^ 1 == y:
-                raise DomainError(f"word {letters} is not reduced")
-        self.letters = letters
-        self._hash = hash(letters)
+                raise DomainError(f"word {tuple(self)} is not reduced")
 
     @staticmethod
     def parse(text: str) -> "ReducedWord":
@@ -62,43 +65,50 @@ class ReducedWord:
             raise DomainError(f"bad letter {text[letters.index(-1)]!r} in word {text!r}")
         return reduce(letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ReducedWord) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def letters(self) -> "ReducedWord":
+        return self  # a word is the tuple of its letters
 
     def sort_key(self):
         """Shortlex ordering key."""
-        return (len(self.letters), self.letters)
+        return (len(self), self)
 
     def __lt__(self, other: "ReducedWord") -> bool:
-        return self.sort_key() < other.sort_key()
+        return len(self) < len(other) if len(self) != len(other) else tuple.__lt__(self, other)
+
+    def __le__(self, other: "ReducedWord") -> bool:
+        return len(self) < len(other) if len(self) != len(other) else tuple.__le__(self, other)
+
+    def __gt__(self, other: "ReducedWord") -> bool:
+        return len(self) > len(other) if len(self) != len(other) else tuple.__gt__(self, other)
+
+    def __ge__(self, other: "ReducedWord") -> bool:
+        return len(self) > len(other) if len(self) != len(other) else tuple.__ge__(self, other)
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         return multiply(self, other)
 
     def inverse(self) -> "ReducedWord":
-        return ReducedWord(l ^ 1 for l in reversed(self.letters))
+        return _word(l ^ 1 for l in reversed(self))
 
     def prefix(self, d: int) -> "ReducedWord":
-        return ReducedWord(self.letters[:d])
+        return _word(self[:d])
 
     def parent(self) -> "ReducedWord":
         """The neighbor one unit closer to the identity."""
-        if not self.letters:
+        if not self:
             raise DomainError("origin has no parent")
-        return ReducedWord(self.letters[:-1])
+        return _word(self[:-1])
 
     def __str__(self) -> str:
-        return "".join(_ALPHABET[l] for l in self.letters) or "1"
+        return "".join(_ALPHABET[l] for l in self) or "1"
 
     def __repr__(self) -> str:
         return f"ReducedWord({str(self)!r})"
 
+
+# A word from letters already known to be reduced, built without the check.
+_word = partial(tuple.__new__, ReducedWord)
 
 IDENTITY = ReducedWord()
 
@@ -116,25 +126,24 @@ def reduce(seq: Iterable[int]) -> ReducedWord:
 
 @lru_cache(maxsize=None)
 def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
-    xl, yl = x.letters, y.letters
     k = 0
-    limit = min(len(xl), len(yl))
-    while k < limit and xl[-1 - k] == yl[k] ^ 1:
+    limit = min(len(x), len(y))
+    while k < limit and x[-1 - k] == y[k] ^ 1:
         k += 1
-    return ReducedWord(xl[: len(xl) - k] + yl[k:])
+    return _word(x[: len(x) - k] + y[k:])
 
 
 def parse_word(text: str, n: int) -> ReducedWord:
     """A word of F_n: a letter past the first n generators is a domain error."""
     word = ReducedWord.parse(text)
-    if any(l >= 2 * n for l in word.letters):
+    if any(l >= 2 * n for l in word):
         raise DomainError(f"word {text!r} has a letter outside the {n} generators")
     return word
 
 
 def is_initial(x: ReducedWord, y: ReducedWord) -> bool:
     """True iff x lies on the tree geodesic [e, y], i.e. y begins with x."""
-    return y.letters[: len(x.letters)] == x.letters
+    return y[: len(x)] == x
 
 
 def generators(n: int) -> list[ReducedWord]:
@@ -151,8 +160,7 @@ def _ball(n: int, R: int) -> tuple[ReducedWord, ...]:
     inner = _ball(n, R - 1)
     grown = list(inner)
     for w in inner[_sphere_start(n, R - 1):]:
-        last = w.letters[-1] if w.letters else None
-        grown.extend(ReducedWord(w.letters + (l,)) for l in next_letters(n, last))
+        grown.extend(_word(w + (l,)) for l in next_letters(n, w[-1] if w else None))
     return tuple(grown)
 
 
@@ -203,12 +211,12 @@ class BoundaryPoint:
         if len(period) == 0:
             raise DomainError("boundary point needs a nonempty period")
         # the infinite stream must be reduced at both junction types
-        if period.letters[-1] == period.letters[0] ^ 1:
+        if period[-1] == period[0] ^ 1:
             raise DomainError(f"period {period} cancels against itself")
-        if head.letters and head.letters[-1] == period.letters[0] ^ 1:
+        if head and head[-1] == period[0] ^ 1:
             raise DomainError(f"head {head} cancels against period {period}")
-        p = _primitive_root(period.letters)
-        h = head.letters
+        p = _primitive_root(period)
+        h = head
         while h and h[-1] == p[-1]:
             h = h[:-1]
             p = (p[-1],) + p[:-1]
@@ -224,22 +232,22 @@ class BoundaryPoint:
 
     def prefix(self, d: int) -> ReducedWord:
         """The first d letters of the stream."""
-        letters = list(self.head.letters)
+        letters = list(self.head)
         while len(letters) < d:
-            letters.extend(self.period.letters)
+            letters.extend(self.period)
         return ReducedWord(letters[:d])
 
     def __str__(self) -> str:
-        return f"{'' if not self.head.letters else self.head}({self.period})"
+        return f"{'' if not self.head else self.head}({self.period})"
 
 
 def act(gamma: ReducedWord, a: BoundaryPoint) -> BoundaryPoint:
     """Left translation of the boundary point a by gamma."""
-    if not gamma.letters:
+    if not gamma:
         return a
     # prepend enough whole periods that cancellation stays inside the head
     copies = len(gamma) // len(a.period) + 1
-    extended = ReducedWord(a.head.letters + a.period.letters * copies)
+    extended = ReducedWord(a.head + tuple(a.period) * copies)  # word * int is multiplication
     return BoundaryPoint(multiply(gamma, extended), a.period)
 
 

@@ -577,3 +577,14 @@ def test_lazy_hash_agrees_across_constructors():
             table.setdefault(y, []).append(y)
         assert table[group[-1]] == group
     assert len(table) == len(groups)
+
+
+def test_repr_tells_word_keys_from_tensor_keys():
+    # a word is itself a tuple of letters, so a key is a tensor key only
+    # when it is not a word
+    f = chi(2, W("a"))
+    F = tensor(f, f)
+    assert repr(CrossedElement.monomial(f, W("ab"))) == f"[{f!r}]u(ab)"
+    assert repr(TensorElement(2, {(W("a"), W("B")): F})) == f"[{F!r}]u(a)(x)u(B)"
+    G = dual_coefficient(2, W("b"))
+    assert repr(PairElement(2, {W("b"): G})) == f"[{G!r}]u(b)"

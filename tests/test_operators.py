@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boundarylab import operators
 from boundarylab.config import DomainError, ResourceLimitError
@@ -114,6 +115,25 @@ class TestBasicStructure:
         assert M.entry(W("a"), W("a")) == ZERO
 
 
+SMALL = [ZERO, ONE, MINUS_ONE, Scalar.of(2), Scalar.of(0, 1), Scalar.of(1, -1), Scalar.of(3, 2)]
+
+
+def dense_rank(rows, columns) -> int:
+    """Reference: Gaussian elimination on dense copies of the rows."""
+    matrix = [[r.get(c, ZERO) for c in columns] for r in rows]
+    rank = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            f = matrix[i][j] / matrix[rank][j]
+            matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
+
+
 class TestExactRank:
     def test_known_small_matrices(self):
         one_ = ONE
@@ -157,6 +177,18 @@ class TestExactRank:
         assert exact_rank([{"x": S(2)}, {"y": ONE}, {"x": ONE, "y": S(3)}]) == 2
         assert exact_rank([{"x": S(2)}, {"y": ONE}, {"x": ONE, "z": S(3)}]) == 3
         assert exact_rank([{"x": ONE, "y": ONE}, {"y": ONE}, {"x": S(0, 1)}]) == 2
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.dictionaries(st.sampled_from("wxyz"), st.sampled_from(SMALL), max_size=3), max_size=7
+    ))
+    def test_rows_stay_unchanged_and_rank_matches_dense_reference(self, rows):
+        # one-entry rows become pivots as given, so a later row that
+        # reduces against one must leave it as it was
+        snapshot = [dict(r) for r in rows]
+        assert exact_rank(rows) == dense_rank(rows, "wxyz")
+        assert rows == snapshot
 
 
 class TestCommutators:

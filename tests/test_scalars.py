@@ -85,6 +85,19 @@ def test_ring_operations_match_reference(p, q, t):
 
 
 @settings(max_examples=200, deadline=None)
+@given(pairs, st.sampled_from(UNITS))
+def test_unit_products_and_real_conjugates_are_shared(p, u):
+    # multiplying by ONE and conjugating a real scalar return the operand
+    # itself; every other product and conjugate still matches the reference
+    (x, rx), (_, ru) = both(p), both((u.re, u.im))
+    assert ONE * x is x and x * ONE is x
+    assert same(x * u, rx * ru) and same(u * x, ru * rx)
+    assert same(x.conj(), rx.conj()) and x.conj().conj() == x
+    assert (x.conj() is x) == (not x.im)
+    assert ONE.conj() is ONE and ZERO.conj() is ZERO and ONE * ONE is ONE
+
+
+@settings(max_examples=200, deadline=None)
 @given(pairs, pairs)
 def test_division_matches_reference(p, q):
     (x, rx), (y, ry) = both(p), both(q)

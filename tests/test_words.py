@@ -112,6 +112,52 @@ class TestAgainstReferenceLetters:
         spellings = [[decode(l) for l in w.letters] for w in words]
         assert spellings == sorted(spellings, key=ref_sort_key)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ref_seqs, ref_seqs)
+    def test_all_four_comparisons_are_shortlex(self, s, t):
+        x, y = ref_reduce(s), ref_reduce(t)
+        wx, wy = ref_word(x), ref_word(y)
+        kx, ky = ref_sort_key(x), ref_sort_key(y)
+        assert (wx < wy, wx <= wy, wx > wy, wx >= wy) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(ref_seqs, min_size=1, max_size=6))
+    def test_min_and_max_are_shortlex(self, seqs):
+        spellings = [ref_reduce(s) for s in seqs]
+        words = [ref_word(x) for x in spellings]
+        assert min(words) == ref_word(min(spellings, key=ref_sort_key))
+        assert max(words) == ref_word(max(spellings, key=ref_sort_key))
+        assert sorted(words) == [ref_word(x) for x in sorted(spellings, key=ref_sort_key)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ref_seqs, ref_seqs, st.integers(0, 10))
+    def test_unchecked_words_equal_checked_ones(self, s, t, d):
+        # products, inverses, prefixes, parents and balls skip the
+        # reducedness check; each must be the word the checked
+        # constructor makes from the same letters, with the same hash
+        wx, wy = reduce(encode(l) for l in s), reduce(encode(l) for l in t)
+        built = [multiply(wx, wy), wx * wy, wx.inverse(), wx.prefix(d)]
+        if len(wx):
+            built.append(wx.parent())
+        for w in built:
+            checked = ReducedWord(tuple(w))
+            assert type(w) is ReducedWord and w == checked and hash(w) == hash(checked)
+        assert wx * wy == multiply(wx, wy)  # `*` stays group multiplication
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ball_words_equal_checked_ones(self, n):
+        for w in ball(n, 3):
+            checked = ReducedWord(tuple(w))
+            assert type(w) is ReducedWord and w == checked and hash(w) == hash(checked)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_public_construction_still_checks(self, n):
+        for l in (RefLetter(i, s) for i in range(n) for s in (1, -1)):
+            with pytest.raises(DomainError):
+                ReducedWord((encode(l), encode(l.inverse())))
+            with pytest.raises(DomainError):
+                ReducedWord(encode(x) for x in (l, l, l.inverse()))
+
     def test_ball_hashes_distinct(self):
         # a letter encoding whose inverse pairs hash alike (signed ints:
         # hash(-1) == hash(-2)) would collide words that differ in A and B
@@ -256,6 +302,12 @@ class TestBoundaryPoints:
 
     def test_act_single_cancellation(self):
         assert act(W("A"), B("(ab)")) == B("(ba)")
+
+    def test_act_by_words_longer_than_the_period(self):
+        # act repeats the period's letters; a word times an int is not repetition
+        assert act(W("AAA"), B("(a)")) == B("(a)")
+        assert act(W("BABA"), B("(ab)")) == B("(ab)")
+        assert act(W("bbb"), B("(ab)")).prefix(5) == W("bbbab")
 
     def test_act_composition_law(self):
         points = [
