@@ -46,17 +46,8 @@ from .words import (
     multiply,
     next_letters,
     parse_word,
+    word_extensions,
 )
-
-
-def word_extensions(w: ReducedWord, k: int, n: int) -> list[ReducedWord]:
-    """The reduced words that extend w by k letters, in shortlex order."""
-    if not k:
-        return [w]
-    spellings = [w]
-    for _ in range(k):
-        spellings = [t + (l,) for t in spellings for l in next_letters(n, t[-1] if t else None)]
-    return [ReducedWord(t) for t in spellings]
 
 
 class CylinderFunction:
@@ -223,9 +214,9 @@ def _fill_around(
     path = {v[:j] for v in inside for j in range(k, len(v))}
     taken = path.union(inside)
     for p in path:
-        for l in next_letters(rank, p[-1] if p else None):
-            if p + (l,) not in taken:
-                out[ReducedWord(p + (l,))] = value
+        for child in word_extensions(p, 1, rank):
+            if child not in taken:
+                out[child] = value
 
 
 def _plain_add(

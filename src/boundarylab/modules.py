@@ -16,9 +16,11 @@ is an edit of v.
 Two maps agree on a ball exactly when their columns there agree.  A map
 keeps no table; `maps_agree` and `iota_check` share one loop that reads
 each column once per label and compares the images of bounded-depth
-indicators there.  Right linearity extends such a certificate to general
-coefficients with parameters in range, which is the only sense in which
-the word "equal" is used below.
+indicators there.  The image of an indicator chi_u is read off the
+column as a restriction: each term's weight cut to the cells of
+translate(gamma, chi_u), with no product built.  Right linearity extends
+such a certificate to general coefficients with parameters in range,
+which is the only sense in which the word "equal" is used below.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .crossed import CrossedElement, PairElement, element_chi, element_v
 from .cylinders import (
     BiCylinderFunction,
     CylinderFunction,
+    _cell_at,
     chi,
     f_prime_value,
     translate,
@@ -306,17 +309,46 @@ class EqualityCertificate:
         }
 
 
+def _images(column: tuple[Term, ...], fs: list[CylinderFunction]) -> list[dict]:
+    """The image of each indicator chi_u of fs under a merged column, as
+    tables keyed like `_image`: each term's table c . f cut to the cells
+    of translate(gamma, chi_u).  One pass files every cell under its
+    prefixes as long as those cells can be, so the entry at u holds the
+    cells at or below u; a u with no entry takes the value of the cell
+    above it.  A canonical table cut to canonical cells of value 1 stays
+    canonical, since no sibling group can newly merge."""
+    images = [{} for _ in fs]
+    depth = max(F.depth for F in fs)
+    for h, c, f, gamma in column:
+        table = {IDENTITY: c} if f is None else f.table
+        below = {IDENTITY: table}
+        for j in range(1, depth + len(gamma) + 1):
+            for w, v in table.items():
+                if len(w) >= j:
+                    below.setdefault(w[:j], {})[w] = v
+        for image, chi_u in zip(images, fs):
+            y = {}
+            for u in (translate(gamma, chi_u) if len(gamma) else chi_u).table:
+                if u in below:
+                    y.update(below[u])
+                elif (v := _cell_at(table, u)) is not None:
+                    y[u] = v
+            if y:
+                image[h, gamma] = y
+    return images
+
+
 def _compare(T: ModuleMap, S: ModuleMap, n: int, R: int, d: int) -> tuple[int, list, int]:
     """Compare T and S on the spanning indicators at each label of the
-    ball, reading each column once: the count compared, the first 16
-    differing (indicator, label) pairs and the longest label of a difference."""
+    ball, reading each column once and each indicator's image there as a
+    restriction of the column: the count compared, the first 16 differing
+    (indicator, label) pairs and the longest label of a difference.
+    Canonical tables are equal exactly when their functions are."""
     fs = spanning_indicators(n, d)
     checked, bad, worst = 0, [], 0
     for g in ball(n, R):
-        t_column, s_column = T.column(g), S.column(g)
-        for f in fs:
+        for f, t, s in zip(fs, _images(T.column(g), fs), _images(S.column(g), fs)):
             checked += 1
-            t, s = _image(t_column, IDENTITY, f), _image(s_column, IDENTITY, f)
             if t == s:
                 continue
             if len(bad) < 16:

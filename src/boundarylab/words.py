@@ -20,7 +20,8 @@ reduced word.
 A word is the tuple of its letters: it hashes, compares equal and slices
 (to a plain tuple) as that tuple, but `*` is group multiplication and
 order is shortlex.  Only public construction checks reducedness;
-products, inverses, prefixes, parents and balls skip the check.
+products, inverses, prefixes, parents, extensions and balls skip the
+check.
 
 Text syntax: generators are lowercase letters "a", "b", ...; their
 inverses are the corresponding uppercase letters; the identity is "1".
@@ -131,6 +132,15 @@ def multiply(x: ReducedWord, y: ReducedWord) -> ReducedWord:
     while k < limit and x[-1 - k] == y[k] ^ 1:
         k += 1
     return _word(x[: len(x) - k] + y[k:])
+
+
+def word_extensions(w: tuple[int, ...], k: int, n: int) -> list[ReducedWord]:
+    """The reduced words that extend the reduced w by k letters, in
+    shortlex order, built without the check."""
+    spellings = [w]
+    for _ in range(k):
+        spellings = [t + (l,) for t in spellings for l in next_letters(n, t[-1] if t else None)]
+    return [_word(t) for t in spellings]
 
 
 def parse_word(text: str, n: int) -> ReducedWord:

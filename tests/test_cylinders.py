@@ -17,7 +17,6 @@ from boundarylab.cylinders import (
     translate,
     translate_diag,
     translate_legs,
-    word_extensions,
 )
 from boundarylab.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from boundarylab.words import (
@@ -30,6 +29,7 @@ from boundarylab.words import (
     is_initial,
     multiply,
     sphere,
+    word_extensions,
 )
 
 W = ReducedWord.parse

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from boundarylab import cylinders, modules
 from boundarylab.config import DomainError, ResourceLimitError
 from boundarylab.crossed import CrossedElement, PairElement, dual_coefficient
-from boundarylab.cylinders import CylinderFunction, chi, f_prime_value, tensor
+from boundarylab.cylinders import CylinderFunction, chi, f_prime_value, tensor, translate
 from boundarylab.modules import (
     EqualityCertificate,
     ModuleMap,
     ModuleVector,
+    _compare,
     _describe,
+    _image,
+    _images,
     build_Fbar,
     build_Pbar,
     build_Vbar,
@@ -38,8 +41,17 @@ from boundarylab.modules import (
     untwist_U,
     untwist_U_star,
 )
-from boundarylab.scalars import MINUS_ONE, ONE, Scalar
-from boundarylab.words import IDENTITY, ReducedWord, ball, generators, multiply, sphere
+from boundarylab.scalars import MINUS_ONE, ONE, ZERO, Scalar
+from boundarylab.words import (
+    IDENTITY,
+    ReducedWord,
+    ball,
+    generators,
+    is_initial,
+    multiply,
+    sphere,
+    word_extensions,
+)
 
 W = ReducedWord.parse
 IDENTITY_MAP = ModuleMap("1", lambda g: [(g, ONE, None, IDENTITY)])
@@ -709,3 +721,103 @@ def test_flagship_sums_once_per_label(memo_tables):
         table.cache_clear()
     assert final_identity_check(2, 4, 0).equal
     assert cylinders._cached_sum.cache_info().misses <= len(ball(2, 4))
+
+
+# -- indicator images as restrictions of the column --------------------
+
+def random_cells(rng, n, u, depth=4):
+    """A random function of depth at most `depth` whose cells are split
+    mostly along u, so that they lie above, at and below u."""
+    table, todo = {}, [IDENTITY]
+    while todo:
+        w = todo.pop()
+        split = 0.8 if is_initial(w, u) or is_initial(u, w) else 0.3
+        if len(w) < depth and rng.random() < split:
+            todo.extend(word_extensions(w, 1, n))
+        else:
+            table[w] = rng.choice(SCALARS + [ZERO])
+    return CylinderFunction(n, table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_restriction_is_product_with_indicator(n, seed):
+    rng = random.Random(seed)
+    u = rng.choice(ball(n, 3)[1:])
+    fs = [one(n), chi(n, u)]
+    f, c, h = random_cells(rng, n, u), rng.choice(SCALARS), rng.choice(ball(n, 1))
+    for gamma in (IDENTITY, rng.choice(ball(n, 2)[1:])):
+        cells = translate(gamma, chi(n, u))
+        image = _images(((h, ONE, f, gamma),), fs)[1]
+        assert image == ({(h, gamma): (f * cells).table} if f * cells else {})
+        image = _images(((h, c, None, gamma),), fs)[1]
+        assert image == {(h, gamma): cells.scale(c).table}
+    # a column of several terms, scalar-only and gamma != 1 among them,
+    # against one cylinder product per term
+    column = modules._merged(
+        (rng.choice(ball(n, 1)), rng.choice(SCALARS),
+         rng.choice([None, random_cells(rng, n, u)]), rng.choice(ball(n, 2)))
+        for _ in range(rng.randint(1, 4))
+    )
+    for F, image in zip(fs, _images(column, fs)):
+        assert image == {k: y.table for k, y in _image(column, IDENTITY, F).items()}
+
+
+def reference_compare(T, S, n, R, d):
+    """`_compare` from products: each indicator's image under a column
+    built by `_image`, one cylinder product per term."""
+    fs = spanning_indicators(n, d)
+    checked, bad, worst = 0, [], 0
+    for g in ball(n, R):
+        t_column, s_column = T.column(g), S.column(g)
+        for f in fs:
+            checked += 1
+            t, s = _image(t_column, IDENTITY, f), _image(s_column, IDENTITY, f)
+            if t == s:
+                continue
+            if len(bad) < 16:
+                bad.append((f, g))
+            worst = max(worst, *(len(k[0]) for k in t.keys() | s.keys() if t.get(k) != s.get(k)))
+    return checked, bad, worst
+
+
+@pytest.mark.parametrize(
+    "fault", FAULTS[1:], ids=[f"{k}-{g}" for f in FAULTS[1:] for k, g in f.items()]
+)
+def test_compare_matches_products_on_faults(fault):
+    T, S = build_Fbar(2, **fault), build_Wbar(2, 4)
+    result = _compare(T, S, 2, 3, 2)
+    assert result == reference_compare(T, S, 2, 3, 2)
+    assert result[1]
+
+
+def test_compare_matches_products_with_shifted_terms():
+    # untwisting, phi(x) and label shifts carry gamma != 1 terms; the
+    # last pair agrees with gamma = a on both sides
+    f = chi(2, W("ab"))
+    maps = kernel_maps() + [
+        op_phi_unitary(W("a")) @ op_phi_function(f),
+        op_phi(CrossedElement.monomial(translate(W("a"), f), W("a"))),
+    ]
+    results = []
+    for T, S in itertools.combinations(maps, 2):
+        results.append(_compare(T, S, 2, 2, 2))
+        assert results[-1] == reference_compare(T, S, 2, 2, 2), (T.name, S.name)
+    assert not results[-1][1] and all(r[1] for r in results[:-1])
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_compare_matches_products_on_iota_pictures(d):
+    T, S = iota_pictures()
+    result = _compare(T, S, 2, 4, d)
+    assert result == reference_compare(T, S, 2, 4, d)
+    assert result[1]
+
+
+def test_flagship_builds_no_indicator_products(memo_tables):
+    # every cylinder product left is made by the fiberwise shift's
+    # columns, which the spanning depth does not change
+    for table in memo_tables.values():
+        table.cache_clear()
+    assert final_identity_check(2, 4, 2).equal
+    assert cylinders._cached_product.cache_info().misses <= 320

@@ -18,6 +18,7 @@ from boundarylab.words import (
     multiply,
     next_letters,
     reduce,
+    word_extensions,
     sphere,
 )
 
@@ -149,6 +150,19 @@ class TestAgainstReferenceLetters:
         for w in ball(n, 3):
             checked = ReducedWord(tuple(w))
             assert type(w) is ReducedWord and w == checked and hash(w) == hash(checked)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_extensions_equal_checked_ones(self, n):
+        # extensions skip the check too, from a word or a plain tuple of
+        # its letters; they are the words of the next spheres below w
+        for w in ball(n, 2):
+            for k in range(3):
+                extensions = word_extensions(w, k, n)
+                assert extensions == word_extensions(tuple(w), k, n)
+                assert extensions == [x for x in sphere(n, len(w) + k) if x[: len(w)] == w]
+                for x in extensions:
+                    checked = ReducedWord(tuple(x))
+                    assert type(x) is ReducedWord and x == checked and hash(x) == hash(checked)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_public_construction_still_checks(self, n):
