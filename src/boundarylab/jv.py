@@ -20,6 +20,11 @@ untruncated operator; the conjugation defect reads the columns of the
 interior ball(n, R - 2|gamma|) and builds each factor only on the image
 of the previous one, which never leaves ball(n, R).
 
+The shift W has one checked column rule, `_checked_shift`: its column
+at x is the closed form, checked against the fold U b at x, which is one
+product since b and U have one entry per column.  `op_W` applies the
+rule to the ball and `w_local_constancy` to one column per ray.
+
 A direction to infinity is the word of its first R + 1 letters, read
 once from a boundary point or from a given finite prefix (a shorter
 prefix is a domain error); a vertex of ball(n, R) lies on the ray
@@ -141,19 +146,6 @@ def _w_column(prefix: ReducedWord) -> Column:
     return lambda x: ((w_column(prefix, x), ONE),) if len(x) else ()
 
 
-def _fold(prefix: ReducedWord, columns) -> dict[tuple[ReducedWord, ReducedWord], Scalar]:
-    """The nonzero entries of the fold U b on the given columns, composed
-    from the rules of op_b and op_U without building either operator."""
-    u = _u_column(prefix)
-    folded = {}
-    for x in columns:
-        for e, v in _b_column(x):
-            for y, w in u(e):
-                k = (y, x)
-                folded[k] = folded[k] + w * v if k in folded else w * v
-    return {k: v for k, v in folded.items() if v}
-
-
 def op_b(n: int, R: int) -> TruncatedOperator:
     """Vertex-to-parent-edge operator, read off the edge basis; kills the origin vector."""
     check_radius(R)
@@ -212,8 +204,9 @@ def op_W_closed_form(a: BoundaryPoint | ReducedWord, n: int, R: int) -> Truncate
 
 
 def op_W(a: BoundaryPoint | ReducedWord, n: int, R: int) -> TruncatedOperator:
-    """The directed shift built as the fold U b, cross-checked against the
-    closed form on every column of the ball; any mismatch is a hard error.
+    """The directed shift from `_checked_shift`: each column of the ball
+    is the closed form, checked against the fold U b there; any mismatch
+    is a hard error.
 
     The last checked shift is kept, keyed by the ray's (R + 1)-letter
     prefix, since every caller that certifies a ray asks for its index
@@ -224,10 +217,23 @@ def op_W(a: BoundaryPoint | ReducedWord, n: int, R: int) -> TruncatedOperator:
 
 @lru_cache(maxsize=1)
 def _last_shift(prefix: ReducedWord, n: int, R: int) -> TruncatedOperator:
-    closed = op_W_closed_form(prefix, n, R)
-    if _fold(prefix, ball(n, R)) != closed.entries:
-        raise AssertionError("fold of b disagrees with the closed-form shift")
-    return closed
+    vertices = Basis(ball(n, R))
+    return on_columns(vertices, _checked_shift(prefix), R, 1, vertices)
+
+
+def _checked_shift(prefix: ReducedWord) -> Column:
+    """The closed-form shift's column rule, each column checked against
+    the column of the fold U b: b and U have one entry per column, so
+    the fold at x is one product."""
+    w, u = _w_column(prefix), _u_column(prefix)
+
+    def column(x: ReducedWord) -> tuple[tuple[ReducedWord, Scalar], ...]:
+        closed = w(x)
+        if closed != tuple((y, s * t) for e, t in _b_column(x) for y, s in u(e)):
+            raise AssertionError(f"fold of b disagrees with the closed-form shift at {x}")
+        return closed
+
+    return column
 
 
 def w_column(prefix: ReducedWord, x: ReducedWord) -> ReducedWord | None:
@@ -253,9 +259,8 @@ def w_local_constancy(n: int, x: ReducedWord, R: int) -> LocalConstancyCertifica
     cylinder of the direction, by comparing deep extensions of every
     depth-max(|x|, 1) prefix against the shallow formula.
 
-    Only the column at x of the shift on ball(n, R) is built for each
-    ray, from the closed form and from the fold of b, and as in op_W a
-    mismatch between the two is a hard error.
+    Each ray reads the one column at x of `_checked_shift`, so as in
+    op_W the closed form is checked against the fold of b there.
     """
     check_radius(R)
     depth = max(len(x), 1)
@@ -263,23 +268,12 @@ def w_local_constancy(n: int, x: ReducedWord, R: int) -> LocalConstancyCertifica
     ok = True
     for u in sphere(n, depth):
         expected = w_column(u, x)
+        want = () if expected is None else ((expected, ONE),)
         for ray in _deep_extensions(u, R + 1):
             cases += 1
-            col = _checked_shift_column(ray, x) if len(x) <= R else {}
-            if expected is None:
-                ok = ok and not col
-            else:
-                ok = ok and col == {expected: ONE}
+            col = _checked_shift(ray)(x) if len(x) <= R else ()
+            ok = ok and col == want
     return LocalConstancyCertificate(str(x), depth, cases, ok)
-
-
-def _checked_shift_column(prefix: ReducedWord, x: ReducedWord) -> dict[ReducedWord, Scalar]:
-    """The closed-form shift's column at x, checked against the column of
-    the fold U b."""
-    closed = dict(_w_column(prefix)(x))
-    if _fold(prefix, (x,)) != {(y, x): v for y, v in closed.items()}:
-        raise AssertionError("fold of b disagrees with the closed-form shift")
-    return closed
 
 
 def _deep_extensions(u: ReducedWord, depth: int) -> list[ReducedWord]:
@@ -305,30 +299,19 @@ def wbar_apply(
     Output at label h collects each child g of h weighted by the
     indicator of the cylinder at g, plus the label's own coefficient
     weighted by the complement of its cylinder (absent at the origin,
-    whose cylinder is everything).
+    whose cylinder is everything).  The children's terms lie inside h's
+    cylinder and its own term outside, so a sum vanishes only when each
+    of its terms does; zero sums are dropped once, at the end.
     """
     out: dict[ReducedWord, CylinderFunction] = {}
-
-    def add(label: ReducedWord, f: CylinderFunction) -> None:
-        if f.is_zero():
-            return
-        if label in out:
-            out[label] = out[label] + f
-            if out[label].is_zero():
-                del out[label]
-        else:
-            out[label] = f
-
     one = CylinderFunction.constant(n, ONE)
     for g, xi in family.items():
         if len(g) > R:
             raise DomainError(f"label {g} outside radius {R}")
-        if xi.is_zero():
-            continue
         if len(g):
-            add(g.parent(), chi(n, g) * xi)
-            add(g, (one - chi(n, g)) * xi)
-    return out
+            for h, y in ((g.parent(), chi(n, g) * xi), (g, (one - chi(n, g)) * xi)):
+                out[h] = out[h] + y if h in out else y
+    return {h: y for h, y in out.items() if y}
 
 
 def index_b(n: int, R: int) -> int:

@@ -6,8 +6,9 @@ A module vector is a finitely supported map from group elements to
 algebra elements.  Every module map is right linear, so its column at a
 label g, the image of the constant function placed at g, determines it:
 one multiplier f . u_gamma per output label h and group element gamma.
-Applying a map sums the images of monomials, and composing two maps
-multiplies their kernels.  A pair element b = sum_delta F_delta . u_delta
+Composing two maps multiplies their kernels, and applying a map is
+composing it with the vector's own map, which sends the unit at the
+origin to the vector.  A pair element b = sum_delta F_delta . u_delta
 acts by one lift, `op_tau(b)`, whose column at g holds each F_delta's
 specialization at g delta^-1.  The lifted shift is the lift of w + 1:
 Vbar = tau(v), Pbar = tau(chi) and Fbar = tau(v - chi) + 1, and a fault
@@ -118,21 +119,6 @@ def inner_product(xi: ModuleVector, eta: ModuleVector) -> CrossedElement:
     return total
 
 
-def _image(column: tuple[Term, ...], k: ReducedWord, F: CylinderFunction) -> dict:
-    """The image of F . u_k under a merged column: its nonzero
-    coefficients c . f . translate(gamma, F), keyed by (h, gamma k)."""
-    out = {}
-    for h, c, f, gamma in column:
-        y = translate(gamma, F) if len(gamma) else F
-        if f is not None:
-            y = f * y
-        elif c != ONE:
-            y = y.scale(c)
-        if not y.is_zero():
-            out[h, multiply(gamma, k) if len(k) else gamma] = y
-    return out
-
-
 class ModuleMap:
     """A right-linear operator on module vectors, carried as a name and
     its kernel rule: rule(g) lists the terms (h, c, f, gamma) that send a
@@ -151,17 +137,17 @@ class ModuleMap:
         return _merged(self.rule(g))
 
     def __call__(self, xi: ModuleVector) -> ModuleVector:
+        """T(xi) is the merged column at the origin of T @ X, where X sends
+        the unit at the origin to xi's monomials (h, 1, F, k)."""
+        terms = [(h, ONE, F, k) for h, x in xi.entries.items() for k, F in x.terms.items()]
         out: dict[ReducedWord, dict] = {}
-        for g, x in xi.entries.items():
-            column = self.column(g)
-            for k, F in x.terms.items():
-                for (h, gk), y in _image(column, k, F).items():
-                    terms = out.setdefault(h, {})
-                    terms[gk] = terms[gk] + y if gk in terms else y
+        for h, _, f, gamma in (self @ ModuleMap("xi", lambda g: terms)).column(IDENTITY):
+            out.setdefault(h, {})[gamma] = f  # every coefficient of xi is a function
         return ModuleVector(xi.rank, {h: CrossedElement(xi.rank, t) for h, t in out.items()})
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
-        """The kernel product, term by term:
+        """The kernel product, term by term, and the one place where a
+        kernel term multiplies a coefficient:
         c2 f2 u_g2 . c1 f1 u_g1 = c2 c1 . f2 translate(g2, f1) . u_{g2 g1}."""
 
         def rule(g: ReducedWord) -> Iterable[Term]:
@@ -311,7 +297,7 @@ class EqualityCertificate:
 
 def _images(column: tuple[Term, ...], fs: list[CylinderFunction]) -> list[dict]:
     """The image of each indicator chi_u of fs under a merged column, as
-    tables keyed like `_image`: each term's table c . f cut to the cells
+    tables keyed by (h, gamma): each term's table c . f cut to the cells
     of translate(gamma, chi_u).  One pass files every cell under its
     prefixes as long as those cells can be, so the entry at u holds the
     cells at or below u; a u with no entry takes the value of the cell

@@ -20,8 +20,8 @@ reduced word.
 A word is the tuple of its letters: it hashes, compares equal and slices
 (to a plain tuple) as that tuple, but `*` is group multiplication and
 order is shortlex.  Only public construction checks reducedness;
-products, inverses, prefixes, parents, extensions and balls skip the
-check.
+products, inverses, prefixes (of words and of boundary points), parents,
+extensions and balls skip the check.
 
 Text syntax: generators are lowercase letters "a", "b", ...; their
 inverses are the corresponding uppercase letters; the identity is "1".
@@ -241,11 +241,10 @@ class BoundaryPoint:
         return BoundaryPoint(ReducedWord.parse(head_txt), ReducedWord.parse(period_txt))
 
     def prefix(self, d: int) -> ReducedWord:
-        """The first d letters of the stream."""
-        letters = list(self.head)
-        while len(letters) < d:
-            letters.extend(self.period)
-        return ReducedWord(letters[:d])
+        """The first d letters of the stream, built without the check: a
+        prefix of a reduced stream is reduced."""
+        copies = -(-max(d - len(self.head), 0) // len(self.period))
+        return _word((self.head + tuple(self.period) * copies)[:d])  # word * int is multiplication
 
     def __str__(self) -> str:
         return f"{'' if not self.head else self.head}({self.period})"

@@ -257,6 +257,20 @@ class TestWField:
         with pytest.raises(AssertionError):
             op_W(a, 2, 4)
 
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_fold_fault_in_one_column_is_a_hard_error(self, monkeypatch, length):
+        # b loses the parent edge of one vertex, next to the origin or on
+        # the outer sphere; every column is checked, so both readers raise
+        from boundarylab import jv
+
+        x, b_column = sphere(2, length)[-1], jv._b_column
+        jv._last_shift.cache_clear()
+        monkeypatch.setattr(jv, "_b_column", lambda y: () if y == x else b_column(y))
+        with pytest.raises(AssertionError):
+            op_W(B("(ab)"), 2, 4)
+        with pytest.raises(AssertionError):
+            w_local_constancy(2, x, 4)
+
     def test_short_prefix_rejected(self):
         with pytest.raises(DomainError):
             op_W(W_("ab"), 2, 4)
@@ -364,6 +378,13 @@ class TestWbarApply:
             }
             shifted = {h: v for h, v in shifted.items() if v}
             assert produced == shifted
+
+    def test_vanishing_terms_leave_no_entry(self):
+        # chi_b at a lies off a's cylinder and the coefficient at B is
+        # zero: neither leaves an entry at their parent, the origin
+        chi_b = chi(2, W_("b"))
+        out = wbar_apply({W_("a"): chi_b, W_("B"): CylinderFunction.zero(2)}, 2, 3)
+        assert out == {W_("a"): chi_b}
 
     def test_label_outside_radius_rejected(self):
         with pytest.raises(DomainError):

@@ -15,7 +15,6 @@ from boundarylab.modules import (
     ModuleVector,
     _compare,
     _describe,
-    _image,
     _images,
     build_Fbar,
     build_Pbar,
@@ -544,8 +543,9 @@ class TestFinalIdentity:
 
 def termwise_apply(column, xi):
     """A column rule applied one kernel term at a time, one algebra
-    element per term: the reference for `ModuleMap.__call__`, which sums
-    the images of monomials and builds each output element once."""
+    element per term: the reference for `ModuleMap.__call__`, which
+    composes the map with the vector's map and reads the product's
+    column at the origin."""
     out = {}
     for g, x in xi.entries.items():
         for h, c, f, gamma in column(g):
@@ -753,26 +753,33 @@ def test_restriction_is_product_with_indicator(n, seed):
         image = _images(((h, c, None, gamma),), fs)[1]
         assert image == {(h, gamma): cells.scale(c).table}
     # a column of several terms, scalar-only and gamma != 1 among them,
-    # against one cylinder product per term
+    # against the column applied term by term to the indicator's basis vector
     column = modules._merged(
         (rng.choice(ball(n, 1)), rng.choice(SCALARS),
          rng.choice([None, random_cells(rng, n, u)]), rng.choice(ball(n, 2)))
         for _ in range(rng.randint(1, 4))
     )
     for F, image in zip(fs, _images(column, fs)):
-        assert image == {k: y.table for k, y in _image(column, IDENTITY, F).items()}
+        xi = ModuleVector.basis(n, F, IDENTITY)
+        assert image == keyed_tables(termwise_apply(lambda g: column, xi))
+
+
+def keyed_tables(xi):
+    """A vector's coefficient tables, keyed by (label, group element)."""
+    return {(h, gamma): y.table for h, x in xi.entries.items() for gamma, y in x.terms.items()}
 
 
 def reference_compare(T, S, n, R, d):
-    """`_compare` from products: each indicator's image under a column
-    built by `_image`, one cylinder product per term."""
+    """`_compare` from products: each indicator's image under a map is
+    `termwise_apply` of its column to the indicator's basis vector, one
+    cylinder product per term."""
     fs = spanning_indicators(n, d)
     checked, bad, worst = 0, [], 0
     for g in ball(n, R):
-        t_column, s_column = T.column(g), S.column(g)
         for f in fs:
             checked += 1
-            t, s = _image(t_column, IDENTITY, f), _image(s_column, IDENTITY, f)
+            xi = ModuleVector.basis(n, f, g)
+            t, s = (keyed_tables(termwise_apply(M.column, xi)) for M in (T, S))
             if t == s:
                 continue
             if len(bad) < 16:

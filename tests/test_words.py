@@ -2,7 +2,7 @@ import itertools
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boundarylab.config import DomainError
 from boundarylab.words import (
@@ -144,6 +144,20 @@ class TestAgainstReferenceLetters:
             checked = ReducedWord(tuple(w))
             assert type(w) is ReducedWord and w == checked and hash(w) == hash(checked)
         assert wx * wy == multiply(wx, wy)  # `*` stays group multiplication
+
+    @settings(max_examples=200, deadline=None)
+    @given(ref_seqs, ref_seqs)
+    def test_boundary_prefixes_equal_checked_ones(self, s, t):
+        # a prefix of a reduced stream is reduced, so boundary prefixes
+        # skip the check too, at every length through two periods
+        try:
+            a = BoundaryPoint(reduce(encode(l) for l in s), reduce(encode(l) for l in t))
+        except DomainError:
+            assume(False)
+        stream = a.head + tuple(a.period) * 3
+        for d in range(len(a.head) + 2 * len(a.period) + 2):
+            w, checked = a.prefix(d), ReducedWord(stream[:d])
+            assert type(w) is ReducedWord and w == checked and hash(w) == hash(checked)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ball_words_equal_checked_ones(self, n):
