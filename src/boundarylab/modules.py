@@ -16,12 +16,12 @@ is an edit of v.
 
 Two maps agree on a ball exactly when their columns there agree.  A map
 keeps no table; `maps_agree` and `iota_check` share one loop that reads
-each column once per label and compares the images of bounded-depth
-indicators there.  The image of an indicator chi_u is read off the
-column as a restriction: each term's weight cut to the cells of
-translate(gamma, chi_u), with no product built.  Right linearity extends
-such a certificate to general coefficients with parameters in range,
-which is the only sense in which the word "equal" is used below.
+each column once per label and compares it whole.  A certificate's
+`checked` counts the spanning vectors its verdict covers, the
+bounded-depth indicators at each label, each decided by its label's
+column.  Right linearity extends such a certificate to general
+coefficients with parameters in range, which is the only sense in which
+the word "equal" is used below.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from .crossed import CrossedElement, PairElement, element_chi, element_v
 from .cylinders import (
     BiCylinderFunction,
     CylinderFunction,
-    _cell_at,
     chi,
     f_prime_value,
     translate,
 )
 from .jv import wbar_apply
 from .scalars import MINUS_ONE, ONE, Scalar
-from .words import IDENTITY, ReducedWord, ball, multiply, sphere
+from .words import IDENTITY, ReducedWord, ball, is_initial, multiply, sphere
 
 # One kernel term (h, c, f, gamma): the multiplier c . f . u_gamma placed
 # at output label h, where f is None for the constant function 1.
@@ -275,6 +274,8 @@ def _describe(keys: list[tuple[CylinderFunction, ReducedWord]]) -> tuple[str, ..
 
 @dataclass(frozen=True)
 class EqualityCertificate:
+    """A verdict on the `checked` spanning vectors, each decided by its label's column."""
+
     description: str
     rank: int
     radius: int
@@ -295,57 +296,46 @@ class EqualityCertificate:
         }
 
 
-def _images(column: tuple[Term, ...], fs: list[CylinderFunction]) -> list[dict]:
-    """The image of each indicator chi_u of fs under a merged column, as
-    tables keyed by (h, gamma): each term's table c . f cut to the cells
-    of translate(gamma, chi_u).  One pass files every cell under its
-    prefixes as long as those cells can be, so the entry at u holds the
-    cells at or below u; a u with no entry takes the value of the cell
-    above it.  A canonical table cut to canonical cells of value 1 stays
-    canonical, since no sibling group can newly merge."""
-    images = [{} for _ in fs]
-    depth = max(F.depth for F in fs)
-    for h, c, f, gamma in column:
-        table = {IDENTITY: c} if f is None else f.table
-        below = {IDENTITY: table}
-        for j in range(1, depth + len(gamma) + 1):
-            for w, v in table.items():
-                if len(w) >= j:
-                    below.setdefault(w[:j], {})[w] = v
-        for image, chi_u in zip(images, fs):
-            y = {}
-            for u in (translate(gamma, chi_u) if len(gamma) else chi_u).table:
-                if u in below:
-                    y.update(below[u])
-                elif (v := _cell_at(table, u)) is not None:
-                    y[u] = v
-            if y:
-                image[h, gamma] = y
-    return images
+def _tables(column: tuple[Term, ...]) -> dict:
+    """A merged column as one canonical table per (h, gamma), a scalar as a constant."""
+    return {(h, gamma): {IDENTITY: c} if f is None else f.table for h, c, f, gamma in column}
 
 
 def _compare(T: ModuleMap, S: ModuleMap, n: int, R: int, d: int) -> tuple[int, list, int]:
-    """Compare T and S on the spanning indicators at each label of the
-    ball, reading each column once and each indicator's image there as a
-    restriction of the column: the count compared, the first 16 differing
-    (indicator, label) pairs and the longest label of a difference.
-    Canonical tables are equal exactly when their functions are."""
+    """T and S on the spanning indicators at each label of the ball: the
+    count of spanning vectors covered, the first 16 differing (indicator,
+    label) pairs and the longest label of a difference.  Equal columns
+    decide every indicator at their label; where they differ, chi_u fails
+    exactly when a cell of some t - s at (h, gamma) and a cell of
+    translate(gamma, chi_u) are nested, tested until 16 are named."""
     fs = spanning_indicators(n, d)
     checked, bad, worst = 0, [], 0
     for g in ball(n, R):
-        for f, t, s in zip(fs, _images(T.column(g), fs), _images(S.column(g), fs)):
-            checked += 1
-            if t == s:
-                continue
-            if len(bad) < 16:
+        checked += len(fs)
+        t, s = _tables(T.column(g)), _tables(S.column(g))
+        keys = [k for k in t.keys() | s.keys() if t.get(k) != s.get(k)]
+        if not keys:
+            continue
+        worst = max(worst, *(len(h) for h, _ in keys))
+        if len(bad) == 16:
+            continue
+        diffs = [
+            ((CylinderFunction(n, t.get(k, {})) - CylinderFunction(n, s.get(k, {}))).table, k[1])
+            for k in keys
+        ]
+        for f in fs:
+            cut = [(D, translate(gamma, f).table) for D, gamma in diffs]
+            if any(is_initial(v, w) or is_initial(w, v) for D, X in cut for v in D for w in X):
                 bad.append((f, g))
-            worst = max(worst, *(len(k[0]) for k in t.keys() | s.keys() if t.get(k) != s.get(k)))
+                if len(bad) == 16:
+                    break
     return checked, bad, worst
 
 
 def maps_agree(
     T: ModuleMap, S: ModuleMap, n: int, R: int, d: int, description: str = ""
 ) -> EqualityCertificate:
+    """T = S on the spanning vectors of the ball, each decided by its label's column."""
     check_radius(R)
     check_depth(d)
     checked, bad, _ = _compare(T, S, n, R, d)

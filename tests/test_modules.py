@@ -1,4 +1,6 @@
+import cProfile
 import itertools
+import pstats
 import random
 from collections import Counter
 
@@ -15,7 +17,6 @@ from boundarylab.modules import (
     ModuleVector,
     _compare,
     _describe,
-    _images,
     build_Fbar,
     build_Pbar,
     build_Vbar,
@@ -723,7 +724,7 @@ def test_flagship_sums_once_per_label(memo_tables):
     assert cylinders._cached_sum.cache_info().misses <= len(ball(2, 4))
 
 
-# -- indicator images as restrictions of the column --------------------
+# -- the column comparison against indicator products -----------------
 
 def random_cells(rng, n, u, depth=4):
     """A random function of depth at most `depth` whose cells are split
@@ -737,31 +738,6 @@ def random_cells(rng, n, u, depth=4):
         else:
             table[w] = rng.choice(SCALARS + [ZERO])
     return CylinderFunction(n, table)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3]), st.integers(0, 2**32))
-def test_restriction_is_product_with_indicator(n, seed):
-    rng = random.Random(seed)
-    u = rng.choice(ball(n, 3)[1:])
-    fs = [one(n), chi(n, u)]
-    f, c, h = random_cells(rng, n, u), rng.choice(SCALARS), rng.choice(ball(n, 1))
-    for gamma in (IDENTITY, rng.choice(ball(n, 2)[1:])):
-        cells = translate(gamma, chi(n, u))
-        image = _images(((h, ONE, f, gamma),), fs)[1]
-        assert image == ({(h, gamma): (f * cells).table} if f * cells else {})
-        image = _images(((h, c, None, gamma),), fs)[1]
-        assert image == {(h, gamma): cells.scale(c).table}
-    # a column of several terms, scalar-only and gamma != 1 among them,
-    # against the column applied term by term to the indicator's basis vector
-    column = modules._merged(
-        (rng.choice(ball(n, 1)), rng.choice(SCALARS),
-         rng.choice([None, random_cells(rng, n, u)]), rng.choice(ball(n, 2)))
-        for _ in range(rng.randint(1, 4))
-    )
-    for F, image in zip(fs, _images(column, fs)):
-        xi = ModuleVector.basis(n, F, IDENTITY)
-        assert image == keyed_tables(termwise_apply(lambda g: column, xi))
 
 
 def keyed_tables(xi):
@@ -786,6 +762,31 @@ def reference_compare(T, S, n, R, d):
                 bad.append((f, g))
             worst = max(worst, *(len(k[0]) for k in t.keys() | s.keys() if t.get(k) != s.get(k)))
     return checked, bad, worst
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_compare_matches_products_on_random_columns(n, seed):
+    # one-label maps whose terms split along u, scalar-only and gamma != 1
+    # terms among them; S edits one term of T on the cell of a word w, so
+    # at the one label the constant and some indicators fail and others pass
+    rng = random.Random(seed)
+    u = rng.choice(ball(n, 3)[1:])
+    terms = [
+        (rng.choice(ball(n, 1)), rng.choice(SCALARS),
+         rng.choice([None, random_cells(rng, n, u)]), rng.choice(ball(n, 2)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    i = rng.randrange(len(terms))
+    h, c, f, gamma = terms[i]
+    w = rng.choice(word_extensions(u, 3 - len(u), n))
+    edit = (f or one(n)) + chi(n, w).scale(rng.choice(SCALARS))
+    edited = terms[:i] + [(h, c, edit, gamma)] + terms[i + 1:]
+    T = ModuleMap("T", lambda g: terms)
+    S = ModuleMap("S", lambda g: edited)
+    result = _compare(T, S, n, 0, 2)
+    assert result == reference_compare(T, S, n, 0, 2)
+    assert 0 < len(result[1]) < len(spanning_indicators(n, 2))
 
 
 @pytest.mark.parametrize(
@@ -821,10 +822,27 @@ def test_compare_matches_products_on_iota_pictures(d):
     assert result[1]
 
 
-def test_flagship_builds_no_indicator_products(memo_tables):
+@pytest.mark.parametrize(
+    "fault", FAULTS, ids=["none"] + [f"{k}-{g}" for f in FAULTS[1:] for k, g in f.items()]
+)
+def test_flagship_builds_no_indicator_products(memo_tables, fault):
     # every cylinder product left is made by the fiberwise shift's
-    # columns, which the spanning depth does not change
+    # columns, which neither the spanning depth nor a failing column changes
     for table in memo_tables.values():
         table.cache_clear()
-    assert final_identity_check(2, 4, 2).equal
+    assert final_identity_check(2, 4, 2, **fault).equal == (not fault)
     assert cylinders._cached_product.cache_info().misses <= 320
+
+
+def profiled_calls(memo_tables, *args):
+    """The cProfile call total of one flagship check from cleared memo tables."""
+    for table in memo_tables.values():
+        table.cache_clear()
+    profile = cProfile.Profile()
+    assert profile.runcall(final_identity_check, *args).equal
+    return pstats.Stats(profile).total_calls
+
+
+def test_depth_is_free_on_a_passing_check(memo_tables):
+    # equal columns decide every indicator, so depth 2 reads no more than depth 0
+    assert profiled_calls(memo_tables, 2, 4, 2) <= 1.05 * profiled_calls(memo_tables, 2, 4, 0)

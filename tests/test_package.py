@@ -16,5 +16,5 @@ def private_imports() -> list[tuple[str, str | None, str]]:
 
 
 def test_private_imports_between_modules():
-    # one layer's internals read by another: a new leak changes this list
-    assert private_imports() == [("modules", "cylinders", "_cell_at")]
+    # no module reads another module's internals
+    assert private_imports() == []
