@@ -1,18 +1,21 @@
 """The tree Fredholm cycle: edges, the parent-edge operator, and the
 boundary-directed shift field.
 
-Vertices of the Cayley tree are reduced words.  Edges are geometric
-(unordered) pairs of adjacent vertices, keyed by the endpoint farther
-from the origin, which makes the parent-edge map a bijection from
-nonidentity vertices to edges and gives the operator b its index.  For
-each direction to infinity the edge space folds back onto the vertex
-space, turning b into a shift W that moves one step toward the origin
-along the chosen ray and fixes everything off it.
+Vertices of the Cayley tree are reduced words.  An edge is a geometric
+(unordered) pair of adjacent vertices, and it is its endpoint farther
+from the origin: a nonidentity word.  So the parent-edge map is a
+bijection from nonidentity vertices to edges, which gives the operator
+b its index, and b's entries are (e, e).  No edge basis holds the
+origin and the vertex basis of a ball does, so the two never compare
+equal and operator arithmetic across them is rejected.  For each
+direction to infinity the edge space folds back onto the vertex space,
+turning b into a shift W that moves one step toward the origin along
+the chosen ray and fixes everything off it.
 
 Each operator but b is a column rule (basis label to a short list of
 (row, value) pairs) applied to a declared set of columns by
-`operators.on_columns`; `op_b` reads its entries (e, e.far) off the
-edge basis.  A full truncation to a ball holds every label of the ball,
+`operators.on_columns`; `op_b` reads its entries (e, e) off the edge
+basis.  A full truncation to a ball holds every label of the ball,
 but a certificate builds only the columns it reads: the index of b
 reads the interior ball, and b moves no label outward, so the
 truncation at the interior radius already has the columns of the
@@ -53,65 +56,16 @@ from .scalars import ONE, Scalar
 from .words import BoundaryPoint, ReducedWord, ball, is_initial, multiply, sphere
 
 
-class Edge:
-    """An unordered tree edge, stored by its endpoint farther from the origin.
-
-    Immutable; equal and hashed as its far word, and its norm (the far
-    word's length) is stored, since operators read it for every entry.
-    """
-
-    __slots__ = ("far", "norm")
-
-    def __init__(self, far: ReducedWord):
-        norm = len(far)
-        if not norm:
-            raise DomainError("origin has no parent edge")
-        _set_far(self, far)
-        _set_norm(self, norm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an Edge")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an Edge")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Edge:
-            return NotImplemented
-        return self.far == other.far
-
-    def __hash__(self) -> int:
-        return hash(self.far)
-
-    @property
-    def endpoints(self) -> tuple[ReducedWord, ReducedWord]:
-        return (self.far.parent(), self.far)
-
-    def __repr__(self) -> str:
-        return f"Edge(far={self.far!r})"
-
-    def __str__(self) -> str:
-        near, far = self.endpoints
-        return f"{{{near}, {far}}}"
-
-
-# Edge refuses attribute assignment, so its constructor stores through the
-# slot descriptors.
-_set_far, _set_norm = Edge.far.__set__, Edge.norm.__set__
-
-
 @lru_cache(maxsize=None)
 def edge_basis(n: int, R: int) -> Basis:
-    """Parent edges of ball(n, R) in order: those of ball(n, R - 1), then the sphere's."""
-    if R == 0:
-        return Basis()
-    return Basis(edge_basis(n, R - 1) + tuple(Edge(x) for x in sphere(n, R)))
+    """Parent edges of ball(n, R) in order, each as its far endpoint: the
+    ball without the origin."""
+    return Basis(ball(n, R)[1:])
 
 
-def translate_edge(gamma: ReducedWord, edge: Edge) -> Edge:
-    u = multiply(gamma, edge.far.parent())
-    v = multiply(gamma, edge.far)
-    return Edge(v if len(v) > len(u) else u)
+def translate_edge(gamma: ReducedWord, e: ReducedWord) -> ReducedWord:
+    u, v = multiply(gamma, e.parent()), multiply(gamma, e)
+    return v if len(v) > len(u) else u
 
 
 def _ray_prefix(a: BoundaryPoint | ReducedWord, R: int) -> ReducedWord:
@@ -126,9 +80,9 @@ def _ray_prefix(a: BoundaryPoint | ReducedWord, R: int) -> ReducedWord:
     return a.prefix(R + 1)
 
 
-def _b_column(x: ReducedWord) -> tuple[tuple[Edge, Scalar], ...]:
+def _b_column(x: ReducedWord) -> tuple[tuple[ReducedWord, Scalar], ...]:
     """b sends a vertex to its parent edge and kills the origin."""
-    return ((Edge(x), ONE),) if x else ()
+    return ((x, ONE),) if x else ()
 
 
 def _left_edge_column(gamma: ReducedWord) -> Column:
@@ -137,7 +91,7 @@ def _left_edge_column(gamma: ReducedWord) -> Column:
 
 def _u_column(prefix: ReducedWord) -> Column:
     """U sends an edge to its endpoint farther from the ray's direction."""
-    return lambda e: ((e.far.parent() if is_initial(e.far, prefix) else e.far, ONE),)
+    return lambda e: ((e.parent() if is_initial(e, prefix) else e, ONE),)
 
 
 def _w_column(prefix: ReducedWord) -> Column:
@@ -150,7 +104,7 @@ def op_b(n: int, R: int) -> TruncatedOperator:
     """Vertex-to-parent-edge operator, read off the edge basis; kills the origin vector."""
     check_radius(R)
     edges = edge_basis(n, R)
-    return TruncatedOperator(ball(n, R), edges, {(e, e.far): ONE for e in edges}, R, 0)
+    return TruncatedOperator(ball(n, R), edges, {(e, e): ONE for e in edges}, R, 0)
 
 
 def op_left_vertices(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:

@@ -1,10 +1,11 @@
 """Exact truncated operators on the span of a ball in the Cayley tree.
 
 Operators are sparse matrices with exact scalar entries over declared
-ordered bases (vertex words, or edge labels supplied by the tree
-module).  Truncation edge effects are handled by certifying statements
-only on an interior sub-ball that no propagation path can leave; on that
-interior, small-radius assertions are exact theorems about the full
+ordered bases of reduced words: vertices, or edges, each of which the
+tree module labels by its endpoint farther from the origin.  Truncation
+edge effects are handled by certifying statements only on an interior
+sub-ball that no propagation path can leave; on that interior,
+small-radius assertions are exact theorems about the full
 infinite-dimensional operators, not approximations.
 
 A concrete operator is a column rule (basis label to a short list of
@@ -23,22 +24,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import DomainError, ResourceLimitError
 from .cylinders import CylinderFunction
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 from .words import ReducedWord, ball, multiply
 
-Label = Hashable
+Label = ReducedWord
 Column = Callable[[Label], Iterable[tuple[Label, Scalar]]]
 
-
-def label_norm(label) -> int:
-    """Distance of a basis label from the basepoint (word length)."""
-    if isinstance(label, ReducedWord):
-        return len(label)
-    return label.norm  # edge labels carry their own norm
+# Distance of a basis label from the basepoint: a vertex's word length,
+# or an edge's, which is the length of its far endpoint.
+label_norm = len
 
 
 class Basis(tuple):
