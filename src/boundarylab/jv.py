@@ -56,7 +56,6 @@ from .scalars import ONE, Scalar
 from .words import BoundaryPoint, ReducedWord, ball, is_initial, multiply, sphere
 
 
-@lru_cache(maxsize=None)
 def edge_basis(n: int, R: int) -> Basis:
     """Parent edges of ball(n, R) in order, each as its far endpoint: the
     ball without the origin."""

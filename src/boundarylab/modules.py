@@ -16,12 +16,12 @@ is an edit of v.
 
 Two maps agree on a ball exactly when their columns there agree.  A map
 keeps no table; `maps_agree` and `iota_check` share one loop that reads
-each column once per label and compares it whole.  A certificate's
-`checked` counts the spanning vectors its verdict covers, the
-bounded-depth indicators at each label, each decided by its label's
-column.  Right linearity extends such a certificate to general
-coefficients with parameters in range, which is the only sense in which
-the word "equal" is used below.
+each column once per label, compares it whole and names a differing
+entry (g, h, gamma).  A certificate's `checked` counts the spanning
+vectors its verdict covers, the bounded-depth indicators at each label,
+each decided by its label's column.  Right linearity extends such a
+certificate to general coefficients with parameters in range, which is
+the only sense in which the word "equal" is used below.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .cylinders import (
 )
 from .jv import wbar_apply
 from .scalars import MINUS_ONE, ONE, Scalar
-from .words import IDENTITY, ReducedWord, ball, is_initial, multiply, sphere
+from .words import IDENTITY, ReducedWord, ball, multiply, sphere
 
 # One kernel term (h, c, f, gamma): the multiplier c . f . u_gamma placed
 # at output label h, where f is None for the constant function 1.
@@ -268,13 +268,14 @@ def spanning_vectors(n: int, R: int, d: int) -> Iterable[tuple[tuple, ModuleVect
             yield (f, g), ModuleVector.basis(n, f, g)
 
 
-def _describe(keys: list[tuple[CylinderFunction, ReducedWord]]) -> tuple[str, ...]:
-    return tuple(f"{f!r} at {g}" for f, g in keys)
+def _describe(entries: list[tuple[ReducedWord, ReducedWord, ReducedWord]]) -> tuple[str, ...]:
+    return tuple(f"column {g}: ({h}, {gamma})" for g, h, gamma in entries)
 
 
 @dataclass(frozen=True)
 class EqualityCertificate:
-    """A verdict on the `checked` spanning vectors, each decided by its label's column."""
+    """A verdict on the `checked` spanning vectors, each decided by its
+    label's column; a failure names its first 16 differing entries."""
 
     description: str
     rank: int
@@ -302,40 +303,26 @@ def _tables(column: tuple[Term, ...]) -> dict:
 
 
 def _compare(T: ModuleMap, S: ModuleMap, n: int, R: int, d: int) -> tuple[int, list, int]:
-    """T and S on the spanning indicators at each label of the ball: the
-    count of spanning vectors covered, the first 16 differing (indicator,
-    label) pairs and the longest label of a difference.  Equal columns
-    decide every indicator at their label; where they differ, chi_u fails
-    exactly when a cell of some t - s at (h, gamma) and a cell of
-    translate(gamma, chi_u) are nested, tested until 16 are named."""
-    fs = spanning_indicators(n, d)
-    checked, bad, worst = 0, [], 0
+    """T and S on their columns at each label g of the ball: the count of
+    spanning vectors covered, the first 16 differing entries (g, h, gamma)
+    in ball order of g and shortlex order of (h, gamma), and the longest
+    differing output label h.  A right-linear map's column at g decides
+    its len(ball(n, d)) indicators of depth at most d there, and a
+    differing column differs already on the constant."""
+    bad, worst = [], 0
     for g in ball(n, R):
-        checked += len(fs)
         t, s = _tables(T.column(g)), _tables(S.column(g))
-        keys = [k for k in t.keys() | s.keys() if t.get(k) != s.get(k)]
-        if not keys:
-            continue
-        worst = max(worst, *(len(h) for h, _ in keys))
-        if len(bad) == 16:
-            continue
-        diffs = [
-            ((CylinderFunction(n, t.get(k, {})) - CylinderFunction(n, s.get(k, {}))).table, k[1])
-            for k in keys
-        ]
-        for f in fs:
-            cut = [(D, translate(gamma, f).table) for D, gamma in diffs]
-            if any(is_initial(v, w) or is_initial(w, v) for D, X in cut for v in D for w in X):
-                bad.append((f, g))
-                if len(bad) == 16:
-                    break
-    return checked, bad, worst
+        keys = sorted(k for k in t.keys() | s.keys() if t.get(k) != s.get(k))
+        if keys:
+            worst = max(worst, *(len(h) for h, _ in keys))
+            bad += [(g, h, gamma) for h, gamma in keys[: 16 - len(bad)]]
+    return len(ball(n, R)) * len(ball(n, d)), bad, worst
 
 
 def maps_agree(
     T: ModuleMap, S: ModuleMap, n: int, R: int, d: int, description: str = ""
 ) -> EqualityCertificate:
-    """T = S on the spanning vectors of the ball, each decided by its label's column."""
+    """T = S on the spanning vectors of the ball; a differing column entry fails it."""
     check_radius(R)
     check_depth(d)
     checked, bad, _ = _compare(T, S, n, R, d)
@@ -389,28 +376,27 @@ def iota_check(
     two-variable coefficient: second-leg scalar extension against honest
     pointwise multiplication.  They must agree outside a finite label
     set no larger than the decay threshold allows.  Both pictures are
-    right linear, so they are compared on their columns only; the decays
-    are computed only if some column differs, once per coefficient."""
+    right linear and are compared once, on the columns of the lift of all
+    of b: each delta places its terms at its own output label g delta^-1,
+    so these agree exactly when every delta's columns do, with the same
+    longest difference.  `checked` counts one column per term and label.
+    The decays are computed only if some column differs, once per
+    coefficient."""
     check_radius(R)
     if b.is_zero():
         raise DomainError("the pair element has no terms, so there is nothing to compare")
     n = f.rank
-    checked, bad, worst = 0, [], 0
     max_shift = max(len(delta) for delta in b.terms)
-    for delta, F in sorted(b.terms.items(), key=lambda kv: kv[0].sort_key()):
-        tau = op_tau_monomial(F, delta, inner)
-        T, S = tau @ op_mult_label(f), tau @ op_phi_function(f)
-        count, fails, longest = _compare(T, S, n, R - max_shift, 0)
-        checked += count
-        bad += fails[: 16 - len(bad)]
-        worst = max(worst, longest)
+    tau = op_tau(b, dict.fromkeys(b.terms, inner))
+    T, S = tau @ op_mult_label(f), tau @ op_phi_function(f)
+    checked, bad, worst = _compare(T, S, n, R - max_shift, 0)
     equal = not bad or worst <= max_shift + max(
         decay_check(F, f, R, inner).threshold for F in dict.fromkeys(b.terms.values())
     )
     labels = _describe(bad)
     return EqualityCertificate(
         "second-leg extension matches pointwise multiplication up to finite defect",
-        n, R, 0, checked, equal, labels[0] if bad else None, labels,
+        n, R, 0, checked * len(b.terms), equal, labels[0] if bad else None, labels,
     )
 
 

@@ -12,6 +12,11 @@ read, and the rank-3 `all` one by `boundarylab verify --suite all --rank 3
 and rank-6 `algebra` ones by `boundarylab verify --suite algebra --rank N
 --json` before two-variable functions became cell partitions; a
 deliberate change to a report regenerates them with the same commands.
+The eight rank-2 mutant `all` reports (`--mutate drop:a`, ...) and the
+`final-identity ... --mutate drop:b` one below were regenerated when a
+failing module-map comparison began to name its differing column
+entries, "column g: (h, gamma)", instead of spanning indicators; only
+their `discrepancy` and `discrepancy_labels` fields changed.
 
 The outputs of the single-certificate commands and of the remaining
 suites were written, each with `--json PATH`, before the checks became

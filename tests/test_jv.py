@@ -56,7 +56,7 @@ class TestEdges:
             edges = edge_basis(n, R)
             assert edges == tuple(ball(n, R)[1:])
             assert all(type(e) is ReducedWord for e in edges)
-            assert edge_basis(n, R) is edges
+            assert edge_basis(n, R) == edges
 
     def test_bases_keep_vertices_and_edges_apart(self):
         # an edge is a word, but no edge basis holds the origin and a ball's

@@ -1,7 +1,9 @@
 import cProfile
+import dataclasses
 import itertools
 import pstats
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -12,11 +14,9 @@ from boundarylab.config import DomainError, ResourceLimitError
 from boundarylab.crossed import CrossedElement, PairElement, dual_coefficient
 from boundarylab.cylinders import CylinderFunction, chi, f_prime_value, tensor, translate
 from boundarylab.modules import (
-    EqualityCertificate,
     ModuleMap,
     ModuleVector,
     _compare,
-    _describe,
     build_Fbar,
     build_Pbar,
     build_Vbar,
@@ -158,9 +158,10 @@ def reference_fbar(n, drop=None, perturb=None):
 def spanning_iota_check(b, f, R, d, inner_for=None):
     """The spanning-vector form of `iota_check`, the reference for its
     column form: both pictures applied to every indicator of depth <= d
-    at every label, with the small-ball values chosen per shift."""
+    at every label, one shift at a time, with the small-ball values
+    chosen per shift.  It returns the verdict and every failing
+    (indicator, label) key."""
     n = f.rank
-    checked = 0
     bad = []
     worst = 0
     max_shift = max((len(delta) for delta in b.terms), default=0)
@@ -172,19 +173,29 @@ def spanning_iota_check(b, f, R, d, inner_for=None):
         cert = decay_check(F, f, R, inner)
         limit = max(limit, cert.threshold + max_shift)
         for key, xi in spanning_vectors(n, R - max_shift, d):
-            checked += 1
             delta_out = T(xi) - S(xi)
             if delta_out.is_zero():
                 continue
-            if len(bad) < 16:
-                bad.append(key)
+            bad.append(key)
             worst = max(worst, max(len(g) for g in delta_out.entries))
-    ok = worst <= limit
-    labels = _describe(bad)
-    return EqualityCertificate(
-        "second-leg extension matches pointwise multiplication up to finite defect",
-        n, R, d, checked, not bad or ok, labels[0] if bad else None, labels,
-    )
+    return not bad or worst <= limit, bad
+
+
+def witness(cert):
+    """A certificate's named entries "column g: (h, gamma)" as words."""
+    return [
+        tuple(map(W, re.fullmatch(r"column (\w+): \((\w+), (\w+)\)", label).groups()))
+        for label in cert.discrepancy_labels
+    ]
+
+
+def assert_names_failing_labels(named, failing):
+    """The labels g of a witness against a reference's failing (indicator,
+    label) keys: each named label has a failing spanning vector, and the
+    first is the reference's first failing label in ball order."""
+    labels = {g for _, g in failing}
+    assert set(named) <= labels
+    assert named[:1] == ([min(labels)] if labels else [])
 
 
 class TestModuleVector:
@@ -360,9 +371,9 @@ class TestIota:
         assert cert.equal
 
     def test_columns_match_spanning_reference(self):
-        # by right linearity the indicator chi_u at g fails exactly when
-        # the constant at g does, and the constant comes first at each
-        # label, so both forms find the same first discrepancy
+        # by right linearity a label's column differs exactly when some
+        # spanning vector there fails, the constant among them, so the
+        # witness names only failing labels, the first one first
         n, R = 2, 5
         coefficients = [
             (dual_coefficient(n, g), {IDENTITY: chi(n, g)}) for g in generators(n)
@@ -375,12 +386,36 @@ class TestIota:
         for delta, (F, inner), f in cases:
             b = PairElement(n, {delta: F})
             cert = iota_check(b, f, R, inner)
-            ref = spanning_iota_check(b, f, R, 1, lambda _d: inner)
-            assert (cert.equal, cert.first_discrepancy) == (
-                ref.equal, ref.first_discrepancy
-            ), (delta, F, f)
+            equal, bad = spanning_iota_check(b, f, R, 1, lambda _d: inner)
+            assert cert.equal == equal, (delta, F, f)
+            assert_names_failing_labels([g for g, _, _ in witness(cert)], bad)
             failing += not cert.equal
         assert failing >= 10
+
+    def test_summed_lift_matches_per_term_reference(self):
+        # each term puts its column entries at its own output label, so one
+        # comparison of the summed lift decides every term's pair at once
+        n, R = 2, 4
+        F, inner = dual_coefficient(n, W("a")), inner_a()
+        named = 0
+        for deltas in ([IDENTITY, W("a")], [W("a"), W("b"), W("B")], [IDENTITY, W("ab")]):
+            b = PairElement(n, dict.fromkeys(deltas, F))
+            for f in (chi(n, W("a")), chi(n, W("ba")), chi(n, W("B"))):
+                cert = iota_check(b, f, R, inner)
+                equal, bad = spanning_iota_check(b, f, R, 1, lambda _d: inner)
+                assert cert.equal == equal, (deltas, f)
+                assert_names_failing_labels([g for g, _, _ in witness(cert)], bad)
+                named += bool(bad)
+        assert named >= 3
+
+    def test_one_comparison_for_all_terms(self, monkeypatch):
+        calls = []
+        compare = modules._compare
+        monkeypatch.setattr(modules, "_compare", lambda *a: calls.append(a) or compare(*a))
+        b = PairElement(2, {IDENTITY: F_a(), W("a"): F_a(), W("b"): F_a()})
+        cert = iota_check(b, chi(2, W("a")), 4, inner_a())
+        assert len(calls) == 1
+        assert cert.checked == 3 * len(ball(2, 3))
 
 
 class TestLazyDecay:
@@ -528,7 +563,7 @@ class TestFinalIdentity:
         for g in generators(2):
             cert = final_identity_check(2, 3, 1, drop=g)
             assert not cert.equal
-            assert f"at {g}" in cert.first_discrepancy
+            assert cert.first_discrepancy.startswith(f"column {g}: ")
 
     def test_perturb_mutation_detected(self):
         for g in generators(2):
@@ -628,19 +663,17 @@ def test_call_matches_termwise_application(n, seed):
     assert T(xi) == reference(xi), T.name
 
 
-def vector_maps_agree(T, S, n, R, d, description):
+def vector_maps_agree(T, S, n, R, d):
     """`maps_agree` as a loop over spanning vectors, each side applied
-    term by term."""
+    term by term: the count checked and every failing (indicator, label)
+    key."""
     checked = 0
     bad = []
     for key, xi in spanning_vectors(n, R, d):
         checked += 1
-        if T(xi) != S(xi) and len(bad) < 16:
+        if T(xi) != S(xi):
             bad.append(key)
-    labels = _describe(bad)
-    return EqualityCertificate(
-        description, n, R, d, checked, not bad, labels[0] if bad else None, labels,
-    )
+    return checked, bad
 
 
 FAULTS = [{}] + [{kind: g} for kind in ("drop", "perturb") for g in generators(2)]
@@ -654,11 +687,11 @@ def test_maps_agree_matches_vector_loop(fault):
     R, d = (3, 1) if fault else (3, 2)
     cert = final_identity_check(2, R, d, **fault)
     W_ref = build_Wbar(2, R + 1)
-    ref = vector_maps_agree(
-        termwise_fbar(2, **fault), lambda xi: termwise_apply(W_ref.column, xi),
-        2, R, d, "assembled lift equals fiberwise shift",
+    checked, bad = vector_maps_agree(
+        termwise_fbar(2, **fault), lambda xi: termwise_apply(W_ref.column, xi), 2, R, d,
     )
-    assert cert == ref
+    assert (cert.equal, cert.checked) == (not bad, checked)
+    assert_names_failing_labels([g for g, _, _ in witness(cert)], bad)
     assert cert.equal == (not fault)
 
 
@@ -748,7 +781,8 @@ def keyed_tables(xi):
 def reference_compare(T, S, n, R, d):
     """`_compare` from products: each indicator's image under a map is
     `termwise_apply` of its column to the indicator's basis vector, one
-    cylinder product per term."""
+    cylinder product per term.  It names every failing (indicator,
+    label) key."""
     fs = spanning_indicators(n, d)
     checked, bad, worst = 0, [], 0
     for g in ball(n, R):
@@ -758,10 +792,19 @@ def reference_compare(T, S, n, R, d):
             t, s = (keyed_tables(termwise_apply(M.column, xi)) for M in (T, S))
             if t == s:
                 continue
-            if len(bad) < 16:
-                bad.append((f, g))
+            bad.append((f, g))
             worst = max(worst, *(len(k[0]) for k in t.keys() | s.keys() if t.get(k) != s.get(k)))
     return checked, bad, worst
+
+
+def assert_matches_reference(result, reference, context=None):
+    """`_compare` against `reference_compare`: the same count and longest
+    difference, and at most 16 distinct entries in ball order, then
+    shortlex order, naming only failing labels, the first one first."""
+    (checked, named, worst), (ref_checked, bad, ref_worst) = result, reference
+    assert (checked, worst) == (ref_checked, ref_worst), context
+    assert named == sorted(set(named)) and len(named) <= 16, context
+    assert_names_failing_labels([g for g, _, _ in named], bad)
 
 
 @settings(max_examples=80, deadline=None)
@@ -769,7 +812,8 @@ def reference_compare(T, S, n, R, d):
 def test_compare_matches_products_on_random_columns(n, seed):
     # one-label maps whose terms split along u, scalar-only and gamma != 1
     # terms among them; S edits one term of T on the cell of a word w, so
-    # at the one label the constant and some indicators fail and others pass
+    # at the one label the constant and some indicators fail, and the
+    # witness is the edited entry alone
     rng = random.Random(seed)
     u = rng.choice(ball(n, 3)[1:])
     terms = [
@@ -784,9 +828,9 @@ def test_compare_matches_products_on_random_columns(n, seed):
     edited = terms[:i] + [(h, c, edit, gamma)] + terms[i + 1:]
     T = ModuleMap("T", lambda g: terms)
     S = ModuleMap("S", lambda g: edited)
-    result = _compare(T, S, n, 0, 2)
-    assert result == reference_compare(T, S, n, 0, 2)
-    assert 0 < len(result[1]) < len(spanning_indicators(n, 2))
+    result, reference = _compare(T, S, n, 0, 2), reference_compare(T, S, n, 0, 2)
+    assert_matches_reference(result, reference)
+    assert result[1] == [(IDENTITY, h, gamma)]
 
 
 @pytest.mark.parametrize(
@@ -795,7 +839,7 @@ def test_compare_matches_products_on_random_columns(n, seed):
 def test_compare_matches_products_on_faults(fault):
     T, S = build_Fbar(2, **fault), build_Wbar(2, 4)
     result = _compare(T, S, 2, 3, 2)
-    assert result == reference_compare(T, S, 2, 3, 2)
+    assert_matches_reference(result, reference_compare(T, S, 2, 3, 2))
     assert result[1]
 
 
@@ -810,7 +854,7 @@ def test_compare_matches_products_with_shifted_terms():
     results = []
     for T, S in itertools.combinations(maps, 2):
         results.append(_compare(T, S, 2, 2, 2))
-        assert results[-1] == reference_compare(T, S, 2, 2, 2), (T.name, S.name)
+        assert_matches_reference(results[-1], reference_compare(T, S, 2, 2, 2), (T.name, S.name))
     assert not results[-1][1] and all(r[1] for r in results[:-1])
 
 
@@ -818,7 +862,7 @@ def test_compare_matches_products_with_shifted_terms():
 def test_compare_matches_products_on_iota_pictures(d):
     T, S = iota_pictures()
     result = _compare(T, S, 2, 4, d)
-    assert result == reference_compare(T, S, 2, 4, d)
+    assert_matches_reference(result, reference_compare(T, S, 2, 4, d))
     assert result[1]
 
 
@@ -846,3 +890,38 @@ def profiled_calls(memo_tables, *args):
 def test_depth_is_free_on_a_passing_check(memo_tables):
     # equal columns decide every indicator, so depth 2 reads no more than depth 0
     assert profiled_calls(memo_tables, 2, 4, 2) <= 1.05 * profiled_calls(memo_tables, 2, 4, 0)
+
+
+# -- the witness a failing column names --------------------------------
+
+MUTANTS = FAULTS[1:]
+MUTANT_IDS = [f"{k}-{g}" for f in MUTANTS for k, g in f.items()]
+
+
+@pytest.mark.parametrize("fault", MUTANTS, ids=MUTANT_IDS)
+def test_mutant_witness_is_independent_of_depth(fault):
+    # the columns name the failure, so depth widens only what is covered
+    shallow, deep = (final_identity_check(2, 4, d, **fault) for d in (0, 2))
+    assert not deep.equal
+    assert dataclasses.replace(shallow, depth=2, checked=deep.checked) == deep
+
+
+@pytest.mark.parametrize("fault", MUTANTS, ids=MUTANT_IDS)
+def test_mutant_witness_entries_differ(fault):
+    # both maps applied to the unit at g differ at label h, in the u_gamma term
+    entries = witness(final_identity_check(2, 4, 2, **fault))
+    Fb, Wb = build_Fbar(2, **fault), build_Wbar(2, 5)
+    for g, h, gamma in entries:
+        t, s = (M(unit_at(g)).entries.get(h) for M in (Fb, Wb))
+        assert t != s, (g, h)
+        assert (t and t.terms.get(gamma)) != (s and s.terms.get(gamma)), (g, h, gamma)
+
+
+@pytest.mark.parametrize("fault", MUTANTS, ids=MUTANT_IDS)
+def test_mutant_witness_order(fault):
+    entries = witness(final_identity_check(2, 4, 2, **fault))
+    place = {g: i for i, g in enumerate(ball(2, 4))}
+    assert 0 < len(entries) == len(set(entries)) <= 16
+    assert entries == sorted(
+        entries, key=lambda e: (place[e[0]], e[1].sort_key(), e[2].sort_key())
+    )

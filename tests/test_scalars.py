@@ -182,7 +182,6 @@ def test_memo_table_inventory(memo_tables):
         "cylinders.translate",
         "cylinders.translate_legs",
         "jv._last_shift",
-        "jv.edge_basis",
         "modules._weight",
         "operators.lambda_monomial",
         "operators.op_inversion",
