@@ -334,7 +334,7 @@ def _two_picture_agreement(n: int, R: int, d: int, faults: dict) -> Iterator[Row
 @_check("untwist", "the label-twisting unitary preserves all inner products")
 def _unitarity(n: int, R: int, d: int, faults: dict) -> Iterator[Row]:
     R = min(R, 2)
-    U = untwist_U()
+    U = untwist_U(n)
     vecs = [xi for _, xi in spanning_vectors(n, R, 1)]
     images = [U(xi) for xi in vecs]
     unit_ok = all(

@@ -5,19 +5,21 @@ shift.
 A module vector is a finitely supported map from group elements to
 algebra elements.  Every module map is right linear, so its column at a
 label g, the image of the constant function placed at g, determines it:
-one multiplier f . u_gamma per output label h and group element gamma.
-Composing two maps multiplies their kernels, and applying a map is
-composing it with the vector's own map, which sends the unit at the
-origin to the vector.  A pair element b = sum_delta F_delta . u_delta
+one crossed element per output label h, the left multiplier that a
+coefficient at g takes on its way to h.  Composing two maps multiplies
+their entries in the crossed product, and applying a map is composing
+it with the vector's own map, which sends the unit at the origin to the
+vector.  A pair element b = sum_delta F_delta . u_delta
 acts by one lift, `op_tau(b)`, whose column at g holds each F_delta's
 specialization at g delta^-1.  The lifted shift is the lift of w + 1:
 Vbar = tau(v), Pbar = tau(chi) and Fbar = tau(v - chi) + 1, and a fault
 is an edit of v.
 
 Two maps agree on a ball exactly when their columns there agree.  A map
-keeps no table; `maps_agree` and `iota_check` share one loop that reads
-each column once per label, compares it whole and names a differing
-entry (g, h, gamma).  A certificate's `checked` counts the spanning
+keeps no table; `maps_agree` and `iota_check` share one stream of the
+differing entries (g, h, gamma), which reads each column once per label
+and compares it whole; `maps_agree` stops reading at the 16th entry it
+names.  A certificate's `checked` counts the spanning
 vectors its verdict covers, the bounded-depth indicators at each label,
 each decided by its label's column.  Right linearity extends such a
 certificate to general coefficients with parameters in range, which is
@@ -28,41 +30,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .config import DomainError, check_depth, check_radius
 from .crossed import CrossedElement, PairElement, element_chi, element_v
-from .cylinders import (
-    BiCylinderFunction,
-    CylinderFunction,
-    chi,
-    f_prime_value,
-    translate,
-)
+from .cylinders import BiCylinderFunction, CylinderFunction, chi, f_prime_value
 from .jv import wbar_apply
 from .scalars import MINUS_ONE, ONE, Scalar
 from .words import IDENTITY, ReducedWord, ball, multiply, sphere
 
-# One kernel term (h, c, f, gamma): the multiplier c . f . u_gamma placed
-# at output label h, where f is None for the constant function 1.
-Term = tuple[ReducedWord, Scalar, CylinderFunction | None, ReducedWord]
+# One kernel entry: the crossed element x that multiplies a coefficient
+# from the left on its way to output label h.
+Entry = tuple[ReducedWord, CrossedElement]
 
 
-def _merged(terms: Iterable[Term]) -> tuple[Term, ...]:
-    """One term per (h, gamma), the sum of its c . f: the scalars fold
-    into the function, and a sum with no function stays a scalar."""
-    sums: dict[tuple[ReducedWord, ReducedWord], Scalar | CylinderFunction] = {}
-    for h, c, f, gamma in terms:
-        y = c if f is None else f if c == ONE else f.scale(c)
-        x = sums.get((h, gamma))
-        if x is not None and isinstance(x, Scalar) != isinstance(y, Scalar):
-            n = (y if isinstance(x, Scalar) else x).rank
-            x, y = (CylinderFunction.constant(n, z) if isinstance(z, Scalar) else z for z in (x, y))
-        sums[h, gamma] = y if x is None else x + y
-    return tuple(
-        (h, y, None, gamma) if isinstance(y, Scalar) else (h, ONE, y, gamma)
-        for (h, gamma), y in sums.items() if y
-    )
+def _unit(n: int, gamma: ReducedWord) -> CrossedElement:
+    """The group unitary u_gamma, the constant 1 times u_gamma."""
+    return CrossedElement.monomial(CylinderFunction.constant(n, ONE), gamma)
 
 
 @lru_cache(maxsize=None)
@@ -120,72 +105,64 @@ def inner_product(xi: ModuleVector, eta: ModuleVector) -> CrossedElement:
 
 class ModuleMap:
     """A right-linear operator on module vectors, carried as a name and
-    its kernel rule: rule(g) lists the terms (h, c, f, gamma) that send a
-    coefficient x at label g to c . f . u_gamma . x at label h, with c a
-    scalar, f a cylinder function or None for 1, and gamma a word.  It
-    keeps no table: column(g) merges them to one per (h, gamma), with
-    c = 1 or f None, on each read, and a loop reads a label's column once."""
+    its kernel rule: rule(g) yields the entries (h, x) that send a
+    coefficient y at label g to x . y at label h, with x a crossed
+    element.  It keeps no table: column(g) sums them to {h: x}, the shape
+    of `ModuleVector.entries`, on each read, and a loop reads a label's
+    column once."""
 
     __slots__ = ("name", "rule")
 
-    def __init__(self, name: str, rule: Callable[[ReducedWord], Iterable[Term]]):
+    def __init__(self, name: str, rule: Callable[[ReducedWord], Iterable[Entry]]):
         self.name = name
         self.rule = rule
 
-    def column(self, g: ReducedWord) -> tuple[Term, ...]:
-        return _merged(self.rule(g))
+    def column(self, g: ReducedWord) -> dict[ReducedWord, CrossedElement]:
+        out: dict[ReducedWord, CrossedElement] = {}
+        for h, x in self.rule(g):
+            out[h] = out[h] + x if h in out else x
+        return {h: x for h, x in out.items() if x.terms}
 
     def __call__(self, xi: ModuleVector) -> ModuleVector:
-        """T(xi) is the merged column at the origin of T @ X, where X sends
-        the unit at the origin to xi's monomials (h, 1, F, k)."""
-        terms = [(h, ONE, F, k) for h, x in xi.entries.items() for k, F in x.terms.items()]
-        out: dict[ReducedWord, dict] = {}
-        for h, _, f, gamma in (self @ ModuleMap("xi", lambda g: terms)).column(IDENTITY):
-            out.setdefault(h, {})[gamma] = f  # every coefficient of xi is a function
-        return ModuleVector(xi.rank, {h: CrossedElement(xi.rank, t) for h, t in out.items()})
+        """T(xi) is the column at the origin of T @ X, where X sends the
+        unit at the origin to xi."""
+        X = ModuleMap("xi", lambda g: xi.entries.items())
+        return ModuleVector(xi.rank, (self @ X).column(IDENTITY))
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
-        """The kernel product, term by term, and the one place where a
-        kernel term multiplies a coefficient:
-        c2 f2 u_g2 . c1 f1 u_g1 = c2 c1 . f2 translate(g2, f1) . u_{g2 g1}."""
+        """The kernel product: an entry x1 of `other` at h1 followed by an
+        entry x2 of `self` at h2 is the crossed-product entry x2 . x1 at h2."""
 
-        def rule(g: ReducedWord) -> Iterable[Term]:
-            for h1, c1, f1, g1 in other.column(g):
-                for h2, c2, f2, g2 in self.column(h1):
-                    t = translate(g2, f1) if f1 is not None and len(g2) else f1
-                    f = t if f2 is None else f2 if t is None else f2 * t
-                    if f is None or not f.is_zero():
-                        yield h2, c2 * c1, f, multiply(g2, g1)
+        def rule(g: ReducedWord) -> Iterable[Entry]:
+            for h1, x1 in other.column(g).items():
+                for h2, x2 in self.column(h1).items():
+                    yield h2, x2 * x1
 
         return ModuleMap(f"({self.name} . {other.name})", rule)
 
 
 def op_phi_function(f: CylinderFunction) -> ModuleMap:
     """Pointwise left multiplication by a boundary function."""
-    return ModuleMap("phi(f)", lambda g: [(g, ONE, f, IDENTITY)])
+    x = CrossedElement.monomial(f, IDENTITY)
+    return ModuleMap("phi(f)", lambda g: [(g, x)])
 
 
-def op_phi_unitary(gamma: ReducedWord) -> ModuleMap:
+def op_phi_unitary(n: int, gamma: ReducedWord) -> ModuleMap:
     """Left multiplication by a group unitary with the matching label shift."""
-    return ModuleMap(
-        f"phi(u_{gamma})", lambda g: [(multiply(gamma, g), ONE, None, gamma)]
-    )
+    u = _unit(n, gamma)
+    return ModuleMap(f"phi(u_{gamma})", lambda g: [(multiply(gamma, g), u)])
 
 
 def op_phi(x: CrossedElement) -> ModuleMap:
     """Left multiplication by a general algebra element, term by term."""
-    return ModuleMap(
-        "phi(x)",
-        lambda g: [(multiply(gamma, g), ONE, f, gamma) for gamma, f in x.terms.items()],
-    )
+    terms = [(gamma, CrossedElement.monomial(f, gamma)) for gamma, f in x.terms.items()]
+    return ModuleMap("phi(x)", lambda g: [(multiply(gamma, g), y) for gamma, y in terms])
 
 
-def op_tau_gamma(gamma: ReducedWord) -> ModuleMap:
+def op_tau_gamma(n: int, gamma: ReducedWord) -> ModuleMap:
     """Label shift with no coefficient twisting."""
-    inverse = gamma.inverse()
-    return ModuleMap(
-        f"tau(u_{gamma})", lambda g: [(multiply(g, inverse), ONE, None, IDENTITY)]
-    )
+    inverse, one = gamma.inverse(), _unit(n, IDENTITY)
+    return ModuleMap(f"tau(u_{gamma})", lambda g: [(multiply(g, inverse), one)])
 
 
 def op_tau(
@@ -201,12 +178,12 @@ def op_tau(
     frozen = {delta: frozenset(x.items()) for delta, x in (inner or {}).items() if x}
     terms = [(delta.inverse(), F, frozen.get(delta)) for delta, F in b.terms.items()]
 
-    def rule(g: ReducedWord) -> Iterable[Term]:
+    def rule(g: ReducedWord) -> Iterable[Entry]:
         for delta_inverse, F, values in terms:
             h = multiply(g, delta_inverse) if len(delta_inverse) else g
             weight = _weight(F, values, h)
             if not weight.is_zero():
-                yield h, ONE, weight, IDENTITY
+                yield h, CrossedElement.monomial(weight, IDENTITY)
 
     return ModuleMap(name, rule)
 
@@ -234,20 +211,29 @@ def op_tau_F(
 
 def op_mult_label(f: CylinderFunction) -> ModuleMap:
     """Scalar multiplication of each coefficient by the extension value
-    of f at its own label (the second-leg multiplier)."""
-    return ModuleMap("1 (x) M_f", lambda g: [(g, f.extend(g), None, IDENTITY)])
+    of f at its own label (the second-leg multiplier), a constant
+    function built once per value."""
+    constants: dict[Scalar, CrossedElement] = {}
+
+    def rule(g: ReducedWord) -> Iterable[Entry]:
+        c = f.extend(g)
+        if c not in constants:
+            constants[c] = CrossedElement.monomial(CylinderFunction.constant(f.rank, c), IDENTITY)
+        return [(g, constants[c])]
+
+    return ModuleMap("1 (x) M_f", rule)
 
 
-def untwist_U() -> ModuleMap:
-    return ModuleMap("U", lambda g: [(g, ONE, None, g)])
+def untwist_U(n: int) -> ModuleMap:
+    return ModuleMap("U", lambda g: [(g, _unit(n, g))])
 
 
-def untwist_U_star() -> ModuleMap:
-    return ModuleMap("U*", lambda g: [(g, ONE, None, g.inverse())])
+def untwist_U_star(n: int) -> ModuleMap:
+    return ModuleMap("U*", lambda g: [(g, _unit(n, g.inverse()))])
 
 
-def conjugate_by_U(T: ModuleMap) -> ModuleMap:
-    return untwist_U() @ T @ untwist_U_star()
+def conjugate_by_U(n: int, T: ModuleMap) -> ModuleMap:
+    return untwist_U(n) @ T @ untwist_U_star(n)
 
 
 # -- spanning sets and equality certificates -------------------------
@@ -297,39 +283,32 @@ class EqualityCertificate:
         }
 
 
-def _tables(column: tuple[Term, ...]) -> dict:
-    """A merged column as one canonical table per (h, gamma), a scalar as a constant."""
-    return {(h, gamma): {IDENTITY: c} if f is None else f.table for h, c, f, gamma in column}
-
-
-def _compare(T: ModuleMap, S: ModuleMap, n: int, R: int, d: int) -> tuple[int, list, int]:
-    """T and S on their columns at each label g of the ball: the count of
-    spanning vectors covered, the first 16 differing entries (g, h, gamma)
-    in ball order of g and shortlex order of (h, gamma), and the longest
-    differing output label h.  A right-linear map's column at g decides
-    its len(ball(n, d)) indicators of depth at most d there, and a
-    differing column differs already on the constant."""
-    bad, worst = [], 0
+def _compare(T: ModuleMap, S: ModuleMap, n: int, R: int) -> Iterator[tuple]:
+    """The entries (g, h, gamma) where the columns of T and S differ, in
+    ball order of g and shortlex order of (h, gamma), reading the columns
+    of one label at a time.  A right-linear map's column at g decides its
+    len(ball(n, d)) indicators of depth at most d there, and a differing
+    column differs already on the constant."""
     for g in ball(n, R):
-        t, s = _tables(T.column(g)), _tables(S.column(g))
-        keys = sorted(k for k in t.keys() | s.keys() if t.get(k) != s.get(k))
-        if keys:
-            worst = max(worst, *(len(h) for h, _ in keys))
-            bad += [(g, h, gamma) for h, gamma in keys[: 16 - len(bad)]]
-    return len(ball(n, R)) * len(ball(n, d)), bad, worst
+        t, s = T.column(g), S.column(g)
+        for h in sorted(h for h in t.keys() | s.keys() if t.get(h) != s.get(h)):
+            x, y = (c[h].terms if h in c else {} for c in (t, s))
+            for gamma in sorted(k for k in x.keys() | y.keys() if x.get(k) != y.get(k)):
+                yield g, h, gamma
 
 
 def maps_agree(
     T: ModuleMap, S: ModuleMap, n: int, R: int, d: int, description: str = ""
 ) -> EqualityCertificate:
-    """T = S on the spanning vectors of the ball; a differing column entry fails it."""
+    """T = S on the spanning vectors of the ball; a differing column entry
+    fails it, and the comparison stops at the 16th."""
     check_radius(R)
     check_depth(d)
-    checked, bad, _ = _compare(T, S, n, R, d)
+    bad = list(islice(_compare(T, S, n, R), 16))
     labels = _describe(bad)
     return EqualityCertificate(
         description or f"{T.name} = {S.name}",
-        n, R, d, checked, not bad, labels[0] if bad else None, labels,
+        n, R, d, len(ball(n, R)) * len(ball(n, d)), not bad, labels[0] if bad else None, labels,
     )
 
 
@@ -389,14 +368,15 @@ def iota_check(
     max_shift = max(len(delta) for delta in b.terms)
     tau = op_tau(b, dict.fromkeys(b.terms, inner))
     T, S = tau @ op_mult_label(f), tau @ op_phi_function(f)
-    checked, bad, worst = _compare(T, S, n, R - max_shift, 0)
-    equal = not bad or worst <= max_shift + max(
+    bad = list(_compare(T, S, n, R - max_shift))
+    equal = not bad or max(len(h) for _, h, _ in bad) <= max_shift + max(
         decay_check(F, f, R, inner).threshold for F in dict.fromkeys(b.terms.values())
     )
-    labels = _describe(bad)
+    labels = _describe(bad[:16])
     return EqualityCertificate(
         "second-leg extension matches pointwise multiplication up to finite defect",
-        n, R, 0, checked * len(b.terms), equal, labels[0] if bad else None, labels,
+        n, R, 0, len(ball(n, R - max_shift)) * len(b.terms), equal,
+        labels[0] if bad else None, labels,
     )
 
 
@@ -439,7 +419,7 @@ def build_Vbar_closed_form(n: int) -> ModuleMap:
     coefficient, cut to its own cylinder, to its parent."""
     return ModuleMap(
         "Vbar-closed",
-        lambda g: [(g.parent(), ONE, chi(n, g), IDENTITY)] if len(g) else [],
+        lambda g: [(g.parent(), CrossedElement.monomial(chi(n, g), IDENTITY))] if len(g) else [],
     )
 
 
@@ -452,7 +432,8 @@ def build_Pbar(n: int) -> ModuleMap:
 def build_Fbar(n: int, drop: ReducedWord | None = None, perturb: ReducedWord | None = None) -> ModuleMap:
     """The lift tau(v - chi) + 1 of w + 1; a fault is an edit of v."""
     tau = _lift(_dual_with_fault(n, drop, perturb) - element_chi(n), MINUS_ONE, "tau(w)")
-    return ModuleMap("Fbar", lambda g: [*tau.rule(g), (g, ONE, None, IDENTITY)])
+    one = _unit(n, IDENTITY)
+    return ModuleMap("Fbar", lambda g: [*tau.rule(g), (g, one)])
 
 
 def build_Wbar(n: int, R: int) -> ModuleMap:
@@ -460,10 +441,9 @@ def build_Wbar(n: int, R: int) -> ModuleMap:
     column at g is `wbar_apply` of the constant family at g, which
     rejects labels beyond radius R."""
     one = CylinderFunction.constant(n, ONE)
-    return ModuleMap(
-        "Wbar",
-        lambda g: [(h, ONE, f, IDENTITY) for h, f in wbar_apply({g: one}, n, R).items()],
-    )
+    return ModuleMap("Wbar", lambda g: [
+        (h, CrossedElement.monomial(f, IDENTITY)) for h, f in wbar_apply({g: one}, n, R).items()
+    ])
 
 
 def final_identity_check(

@@ -211,7 +211,7 @@ def test_criterion_09_untwisting():
             for f in fs:
                 cert = iota_check(b, f, R, inner)
                 iota_ok = iota_ok and cert.equal
-    U = untwist_U()
+    U = untwist_U(n)
     vecs = [xi for _, xi in spanning_vectors(n, 2, 1)]
     unitary_ok = all(
         inner_product(U(xi), U(eta)) == inner_product(xi, eta)

@@ -1,10 +1,12 @@
 import cProfile
 import dataclasses
 import itertools
+import json
 import pstats
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +56,7 @@ from boundarylab.words import (
 )
 
 W = ReducedWord.parse
-IDENTITY_MAP = ModuleMap("1", lambda g: [(g, ONE, None, IDENTITY)])
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def act(xi: ModuleVector, a: CrossedElement) -> ModuleVector:
@@ -75,6 +77,9 @@ def unit_at(g, n=2):
     return ModuleVector.basis(n, one(n), g)
 
 
+IDENTITY_MAP = ModuleMap("1", lambda g: [(g, unitary(2, IDENTITY))])
+
+
 def F_a(n=2):
     return dual_coefficient(n, W("a"))
 
@@ -89,13 +94,13 @@ def kernel_maps():
     )
     return [
         op_tau_F(F_a(), inner_a()),
-        untwist_U(),
-        untwist_U_star(),
+        untwist_U(2),
+        untwist_U_star(2),
         op_mult_label(chi(2, W("ab"))),
         build_Vbar(2),
         build_Pbar(2),
         op_phi(x),
-        op_tau_gamma(W("a")),
+        op_tau_gamma(2, W("a")),
     ]
 
 
@@ -110,8 +115,10 @@ def iota_pictures():
 def reference_tau_monomial(F, delta, inner=None):
     """tau(F . u_delta) as a composition: the diagonal action of F, one
     weight per label, after the label shift by delta."""
-    tau_F = ModuleMap("tau(F)", lambda g: [(g, ONE, f_prime_value(F, g, inner), IDENTITY)])
-    return tau_F @ op_tau_gamma(delta)
+    tau_F = ModuleMap(
+        "tau(F)", lambda g: [(g, CrossedElement.monomial(f_prime_value(F, g, inner), IDENTITY))]
+    )
+    return tau_F @ op_tau_gamma(F.rank, delta)
 
 
 def reference_vbar(n, drop=None, perturb=None):
@@ -127,8 +134,7 @@ def reference_vbar(n, drop=None, perturb=None):
         for gamma, F in terms:
             h = multiply(g, gamma.inverse())
             weight = f_prime_value(F, h, {IDENTITY: chi(n, gamma)})
-            if not weight.is_zero():
-                yield h, ONE, weight, IDENTITY
+            yield h, CrossedElement.monomial(weight, IDENTITY)
 
     return ModuleMap("Vbar", rule)
 
@@ -140,7 +146,7 @@ def reference_pbar(n):
         total = CylinderFunction.zero(n)
         for gamma in sphere(n, 1):
             total = total + f_prime_value(dual_coefficient(n, gamma), g, {IDENTITY: chi(n, gamma)})
-        return [(g, ONE, total, IDENTITY)]
+        return [(g, CrossedElement.monomial(total, IDENTITY))]
 
     return ModuleMap("Pbar", rule)
 
@@ -150,8 +156,8 @@ def reference_fbar(n, drop=None, perturb=None):
     V, P = reference_vbar(n, drop, perturb), reference_pbar(n)
     return ModuleMap("Fbar", lambda g: [
         *V.rule(g),
-        *((h, -c, f, gamma) for h, c, f, gamma in P.rule(g)),
-        (g, ONE, None, IDENTITY),
+        *((h, -x) for h, x in P.rule(g)),
+        (g, unitary(n, IDENTITY)),
     ])
 
 
@@ -228,24 +234,43 @@ class TestPhi:
         assert op_phi(unitary(2, IDENTITY))(xi) == xi
 
     def test_generator_on_basis(self):
-        out = op_phi_unitary(W("a"))(unit_at(IDENTITY))
+        out = op_phi_unitary(2, W("a"))(unit_at(IDENTITY))
         assert out == ModuleVector(
             2, {W("a"): unitary(2, W("a"))}
         )
 
     def test_multiplicative_on_unitaries(self):
         for g, h in itertools.product([W("a"), W("b"), W("A")], repeat=2):
-            T = op_phi_unitary(g) @ op_phi_unitary(h)
-            S = op_phi_unitary(g * h)
+            T = op_phi_unitary(2, g) @ op_phi_unitary(2, h)
+            S = op_phi_unitary(2, g * h)
             cert = maps_agree(T, S, 2, 3, 1)
             assert cert.equal, cert.first_discrepancy
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_multiplicative_with_function_coefficients(self, n):
+        # phi(x) @ phi(y) = phi(x y) for elements with gamma != 1 terms and
+        # coefficients that are not constant
+        rng = random.Random(n)
+        for _ in range(6):
+            x, y = (
+                CrossedElement(n, {
+                    gamma: random_cells(rng, n, rng.choice(ball(n, 2)[1:]), 3)
+                    for gamma in rng.sample(ball(n, 1)[1:], 2) + [rng.choice(ball(n, 1))]
+                })
+                for _ in range(2)
+            )
+            assert any(len(gamma) for gamma in y.terms)
+            assert any(f.depth for f in x.terms.values())
+            T, S = op_phi(x) @ op_phi(y), op_phi(x * y)
+            for g in ball(n, 2):
+                assert T.column(g) == S.column(g), (x, y, g)
 
     def test_covariance(self):
         f = chi(2, W("b"))
         for g in generators(2):
             from boundarylab.cylinders import translate
 
-            T = op_phi_unitary(g) @ op_phi_function(f) @ op_phi_unitary(g.inverse())
+            T = op_phi_unitary(2, g) @ op_phi_function(f) @ op_phi_unitary(2, g.inverse())
             S = op_phi_function(translate(g, f))
             assert maps_agree(T, S, 2, 3, 1).equal
 
@@ -267,11 +292,11 @@ class TestPhi:
 
 class TestTau:
     def test_tau_gamma_shifts_labels(self):
-        out = op_tau_gamma(W("a"))(unit_at(W("a")))
+        out = op_tau_gamma(2, W("a"))(unit_at(W("a")))
         assert out == unit_at(IDENTITY)
 
     def test_tau_gamma_inverse(self):
-        T = op_tau_gamma(W("ab")) @ op_tau_gamma(W("BA"))
+        T = op_tau_gamma(2, W("ab")) @ op_tau_gamma(2, W("BA"))
         assert maps_agree(T, IDENTITY_MAP, 2, 2, 1).equal
 
     def test_tau_F_at_origin(self):
@@ -290,7 +315,7 @@ class TestTau:
 
     @pytest.mark.parametrize(
         "T",
-        [op_tau_F(F_a(), inner_a()) @ op_tau_gamma(W("a"))] + iota_pictures(),
+        [op_tau_F(F_a(), inner_a()) @ op_tau_gamma(2, W("a"))] + iota_pictures(),
         ids=["tau-monomial", "iota-T", "iota-S"],
     )
     def test_right_linearity(self, T):
@@ -301,11 +326,11 @@ class TestTau:
 
 class TestUntwist:
     def test_on_basis(self):
-        out = untwist_U()(unit_at(W("ab")))
+        out = untwist_U(2)(unit_at(W("ab")))
         assert out == ModuleVector(2, {W("ab"): unitary(2, W("ab"))})
 
     def test_unitary_inner_products(self):
-        U = untwist_U()
+        U = untwist_U(2)
         vecs = [
             unit_at(W("a")),
             unit_at(W("ab")) + unit_at(W("b")).scale(Scalar.of(0, 1)),
@@ -315,14 +340,14 @@ class TestUntwist:
             assert inner_product(U(xi), U(eta)) == inner_product(xi, eta)
 
     def test_u_star_inverts(self):
-        T = untwist_U() @ untwist_U_star()
+        T = untwist_U(2) @ untwist_U_star(2)
         assert maps_agree(T, IDENTITY_MAP, 2, 2, 1).equal
 
     def test_conjugated_label_shift_twists_coefficients(self):
         # pushing the plain label shift through the untwisting picks up
         # the comparison unitary between neighboring labels
         g = W("a")
-        T = conjugate_by_U(op_tau_gamma(g))
+        T = conjugate_by_U(2, op_tau_gamma(2, g))
         xi = unit_at(W("b"))
         out = T(xi)
         expected = unitary(2, W("bA")) * unitary(2, W("b")).star()
@@ -524,22 +549,16 @@ class TestKernelProduct:
                 assert TS(xi) == T(S(xi)), (T.name, S.name, xi)
 
     def test_product_is_associative(self):
-        T, S, Q = build_Vbar(2), op_phi(unitary(2, W("b"))), untwist_U()
+        T, S, Q = build_Vbar(2), op_phi(unitary(2, W("b"))), untwist_U(2)
         vecs = [xi for _, xi in spanning_vectors(2, 2, 1)]
         for xi in vecs:
             assert ((T @ S) @ Q)(xi) == (T @ (S @ Q))(xi) == T(S(Q(xi)))
 
     def test_columns_are_images_of_units(self):
         # the image of the unit at g is the column's multipliers, each at its label
-        U = conjugate_by_U(build_Fbar(2))
+        U = conjugate_by_U(2, build_Fbar(2))
         for g in ball(2, 2):
-            image = U(unit_at(g))
-            expected = ModuleVector(2, {})
-            for h, c, f, gamma in U.column(g):
-                f = one() if f is None else f
-                term = CrossedElement.monomial(f.scale(c), gamma)
-                expected = expected + ModuleVector(2, {h: term})
-            assert image == expected
+            assert U(unit_at(g)) == ModuleVector(2, U.column(g))
 
     def test_wbar_rejects_labels_beyond_radius(self):
         with pytest.raises(DomainError):
@@ -577,27 +596,25 @@ class TestFinalIdentity:
 
 # -- images of monomials against the per-term application -------------
 
-def termwise_apply(column, xi):
-    """A column rule applied one kernel term at a time, one algebra
-    element per term: the reference for `ModuleMap.__call__`, which
-    composes the map with the vector's map and reads the product's
+def termwise_apply(rule, xi):
+    """A kernel rule applied one monomial f . u_gamma of each entry at a
+    time, by a label shift and a pointwise product: the reference for
+    `ModuleMap.__call__`, which composes the map with the vector's map,
+    multiplies entries in the crossed product and reads the product's
     column at the origin."""
     out = {}
-    for g, x in xi.entries.items():
-        for h, c, f, gamma in column(g):
-            y = x.left_mul_unitary(gamma) if len(gamma) else x
-            if f is not None:
-                y = y.left_mul_function(f)
-            if c != ONE:
-                y = y.scale(c)
-            out[h] = out[h] + y if h in out else y
+    for g, y in xi.entries.items():
+        for h, x in rule(g):
+            for gamma, f in x.terms.items():
+                z = (y.left_mul_unitary(gamma) if len(gamma) else y).left_mul_function(f)
+                out[h] = out[h] + z if h in out else z
     return ModuleVector(xi.rank, out)
 
 
 def termwise_fbar(n, drop=None, perturb=None):
     """Fbar = Vbar - Pbar + 1 from the per-generator rules, applied one
-    kernel term at a time, so its merged column at g (one term 1 - P_g)
-    is checked against the three separate terms."""
+    kernel entry at a time, so its summed column at g (one entry 1 - P_g)
+    is checked against the three separate entries."""
     rule = reference_fbar(n, drop, perturb).rule
     return lambda xi: termwise_apply(rule, xi)
 
@@ -622,14 +639,17 @@ def random_vector(rng, n):
 
 
 def random_rule(rng, n):
-    """A column rule with several terms at some (h, gamma), scalars and
-    functions mixed, which the cached column must merge."""
-    terms = [
-        (rng.choice([IDENTITY, W("a")]), rng.choice(SCALARS),
-         rng.choice([None, random_function(rng, n)]), rng.choice([IDENTITY, W("b")]))
+    """A kernel rule with several entries at some label h, constants and
+    other functions mixed, some with the same gamma, which the column
+    must sum."""
+    entries = [
+        (rng.choice([IDENTITY, W("a")]), CrossedElement.monomial(
+            rng.choice([one(n), random_function(rng, n)]).scale(rng.choice(SCALARS)),
+            rng.choice([IDENTITY, W("b")]),
+        ))
         for _ in range(rng.randint(2, 5))
     ]
-    return lambda g: [(multiply(g, s), c, f, gamma) for s, c, f, gamma in terms]
+    return lambda g: [(multiply(g, s), x) for s, x in entries]
 
 
 def random_map(rng, n, depth):
@@ -647,11 +667,11 @@ def random_map(rng, n, depth):
         return build_Fbar(n, **fault), termwise_fbar(n, **fault)
     T = {
         "phi": lambda: op_phi(random_element(rng, n)),
-        "tau": lambda: op_tau_gamma(rng.choice(ball(n, 1))),
+        "tau": lambda: op_tau_gamma(n, rng.choice(ball(n, 1))),
         "label": lambda: op_mult_label(random_function(rng, n)),
-        "U": untwist_U,
+        "U": lambda: untwist_U(n),
     }[kind]()
-    return T, lambda xi: termwise_apply(T.column, xi)
+    return T, lambda xi: termwise_apply(T.rule, xi)
 
 
 @settings(max_examples=40, deadline=None)
@@ -688,7 +708,7 @@ def test_maps_agree_matches_vector_loop(fault):
     cert = final_identity_check(2, R, d, **fault)
     W_ref = build_Wbar(2, R + 1)
     checked, bad = vector_maps_agree(
-        termwise_fbar(2, **fault), lambda xi: termwise_apply(W_ref.column, xi), 2, R, d,
+        termwise_fbar(2, **fault), lambda xi: termwise_apply(W_ref.rule, xi), 2, R, d,
     )
     assert (cert.equal, cert.checked) == (not bad, checked)
     assert_names_failing_labels([g for g, _, _ in witness(cert)], bad)
@@ -703,6 +723,16 @@ def counted(T, reads):
     return ModuleMap(T.name, rule)
 
 
+def golden_flagship(fault):
+    """The flagship certificate of a mutant's golden `verify --suite all` report."""
+    (kind, g), = fault.items()
+    letter = str(g)
+    name = f"verify-all-{kind}-{letter.lower() + '-inv' if letter.isupper() else letter}.json"
+    report = json.loads((GOLDEN / name).read_text())
+    (record,) = (c for c in report["checks"] if c["check_id"] == "final.lift-equals-shift")
+    return record["certificate"]
+
+
 def test_maps_agree_reads_each_rule_once_per_label():
     # every indicator at a label is compared from the one column read there
     reads = Counter()
@@ -710,6 +740,17 @@ def test_maps_agree_reads_each_rule_once_per_label():
     cert = maps_agree(T, S, 2, 3, 2)
     assert cert.equal and cert.checked == len(ball(2, 3)) * len(spanning_indicators(2, 2))
     assert reads == {"Fbar": len(ball(2, 3)), "Wbar": len(ball(2, 3))}
+    # a failing check stops at the label of its 16th named entry, with the
+    # certificate of the default-scope golden report
+    place = {g: i for i, g in enumerate(ball(2, 4))}
+    for fault in MUTANTS:
+        reads = Counter()
+        T, S = counted(build_Fbar(2, **fault), reads), counted(build_Wbar(2, 5), reads)
+        cert = maps_agree(T, S, 2, 4, 2, "assembled lift equals fiberwise shift")
+        assert cert.to_json_dict() == golden_flagship(fault), fault
+        last = place[witness(cert)[-1][0]] + 1
+        assert len(cert.discrepancy_labels) == 16 and last < len(ball(2, 4))
+        assert reads == {"Fbar": last, "Wbar": last}, fault
 
 
 # -- one lift for every pair element -----------------------------------
@@ -724,7 +765,7 @@ def test_lifts_match_per_generator_rules(n, R):
         pairs.append((build_Fbar(n, **fault), reference_fbar(n, **fault)))
     for T, S in pairs:
         for g in ball(n, R):
-            assert set(T.column(g)) == set(S.column(g)), (T.name, g)
+            assert T.column(g) == S.column(g), (T.name, g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -740,13 +781,13 @@ def test_op_tau_is_sum_of_composed_monomials(n, seed):
     monomials = {
         delta: reference_tau_monomial(F, delta, inner.get(delta)) for delta, F in b.terms.items()
     }
-    total = ModuleMap("sum", lambda g: [t for T in monomials.values() for t in T.column(g)])
+    total = ModuleMap("sum", lambda g: [e for T in monomials.values() for e in T.column(g).items()])
     tau = op_tau(b, inner)
     for g in ball(n, 2):
-        assert set(tau.column(g)) == set(total.column(g)), g
+        assert tau.column(g) == total.column(g), g
         for delta, F in b.terms.items():
             lift = op_tau_monomial(F, delta, inner.get(delta))
-            assert set(lift.column(g)) == set(monomials[delta].column(g)), (delta, g)
+            assert lift.column(g) == monomials[delta].column(g), (delta, g)
 
 
 def test_flagship_sums_once_per_label(memo_tables):
@@ -789,7 +830,7 @@ def reference_compare(T, S, n, R, d):
         for f in fs:
             checked += 1
             xi = ModuleVector.basis(n, f, g)
-            t, s = (keyed_tables(termwise_apply(M.column, xi)) for M in (T, S))
+            t, s = (keyed_tables(termwise_apply(M.rule, xi)) for M in (T, S))
             if t == s:
                 continue
             bad.append((f, g))
@@ -797,8 +838,18 @@ def reference_compare(T, S, n, R, d):
     return checked, bad, worst
 
 
+def compare(T, S, n, R, d):
+    """The stream of `_compare` read to the end, as (the count `maps_agree`
+    states, its first 16 entries, the longest differing h); `maps_agree`
+    names those 16 entries."""
+    entries = list(_compare(T, S, n, R))
+    cert = maps_agree(T, S, n, R, d)
+    assert witness(cert) == entries[:16]
+    return cert.checked, entries[:16], max((len(h) for _, h, _ in entries), default=0)
+
+
 def assert_matches_reference(result, reference, context=None):
-    """`_compare` against `reference_compare`: the same count and longest
+    """`compare` against `reference_compare`: the same count and longest
     difference, and at most 16 distinct entries in ball order, then
     shortlex order, naming only failing labels, the first one first."""
     (checked, named, worst), (ref_checked, bad, ref_worst) = result, reference
@@ -810,7 +861,7 @@ def assert_matches_reference(result, reference, context=None):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3]), st.integers(0, 2**32))
 def test_compare_matches_products_on_random_columns(n, seed):
-    # one-label maps whose terms split along u, scalar-only and gamma != 1
+    # one-label maps whose terms split along u, constant and gamma != 1
     # terms among them; S edits one term of T on the cell of a word w, so
     # at the one label the constant and some indicators fail, and the
     # witness is the edited entry alone
@@ -826,9 +877,13 @@ def test_compare_matches_products_on_random_columns(n, seed):
     w = rng.choice(word_extensions(u, 3 - len(u), n))
     edit = (f or one(n)) + chi(n, w).scale(rng.choice(SCALARS))
     edited = terms[:i] + [(h, c, edit, gamma)] + terms[i + 1:]
-    T = ModuleMap("T", lambda g: terms)
-    S = ModuleMap("S", lambda g: edited)
-    result, reference = _compare(T, S, n, 0, 2), reference_compare(T, S, n, 0, 2)
+    T, S = (
+        ModuleMap(name, lambda g, t=t: [
+            (h, CrossedElement.monomial((f or one(n)).scale(c), gamma)) for h, c, f, gamma in t
+        ])
+        for name, t in (("T", terms), ("S", edited))
+    )
+    result, reference = compare(T, S, n, 0, 2), reference_compare(T, S, n, 0, 2)
     assert_matches_reference(result, reference)
     assert result[1] == [(IDENTITY, h, gamma)]
 
@@ -838,7 +893,7 @@ def test_compare_matches_products_on_random_columns(n, seed):
 )
 def test_compare_matches_products_on_faults(fault):
     T, S = build_Fbar(2, **fault), build_Wbar(2, 4)
-    result = _compare(T, S, 2, 3, 2)
+    result = compare(T, S, 2, 3, 2)
     assert_matches_reference(result, reference_compare(T, S, 2, 3, 2))
     assert result[1]
 
@@ -848,12 +903,12 @@ def test_compare_matches_products_with_shifted_terms():
     # last pair agrees with gamma = a on both sides
     f = chi(2, W("ab"))
     maps = kernel_maps() + [
-        op_phi_unitary(W("a")) @ op_phi_function(f),
+        op_phi_unitary(2, W("a")) @ op_phi_function(f),
         op_phi(CrossedElement.monomial(translate(W("a"), f), W("a"))),
     ]
     results = []
     for T, S in itertools.combinations(maps, 2):
-        results.append(_compare(T, S, 2, 2, 2))
+        results.append(compare(T, S, 2, 2, 2))
         assert_matches_reference(results[-1], reference_compare(T, S, 2, 2, 2), (T.name, S.name))
     assert not results[-1][1] and all(r[1] for r in results[:-1])
 
@@ -861,7 +916,7 @@ def test_compare_matches_products_with_shifted_terms():
 @pytest.mark.parametrize("d", [0, 2])
 def test_compare_matches_products_on_iota_pictures(d):
     T, S = iota_pictures()
-    result = _compare(T, S, 2, 4, d)
+    result = compare(T, S, 2, 4, d)
     assert_matches_reference(result, reference_compare(T, S, 2, 4, d))
     assert result[1]
 
