@@ -131,6 +131,10 @@ class CylinderFunction:
 
     def __mul__(self, other: "CylinderFunction") -> "CylinderFunction":
         _common_rank(self, other)
+        if other.table == _ONE_TABLE:
+            return self
+        if self.table == _ONE_TABLE:
+            return other
         a, b = (self, other) if self._hash <= other._hash else (other, self)
         return _cached_product(a, b)
 
@@ -143,6 +147,10 @@ class CylinderFunction:
     def __repr__(self) -> str:
         body = ", ".join(f"{w}:{v}" for w, v in _shortlex(self.refine(self.depth)))
         return f"Cyl(n={self.rank}, d={self.depth}, {{{body}}})"
+
+
+# The table of the constant 1, by which a product returns the other operand.
+_ONE_TABLE = {IDENTITY: ONE}
 
 
 def _common_rank(f, g) -> int:

@@ -103,7 +103,7 @@ def op_b(n: int, R: int) -> TruncatedOperator:
     """Vertex-to-parent-edge operator, read off the edge basis; kills the origin vector."""
     check_radius(R)
     edges = edge_basis(n, R)
-    return TruncatedOperator(ball(n, R), edges, {(e, e): ONE for e in edges}, R, 0)
+    return TruncatedOperator(ball(n, R), edges, (((e, e), ONE) for e in edges), R, 0)
 
 
 def op_left_vertices(n: int, gamma: ReducedWord, R: int) -> TruncatedOperator:

@@ -12,19 +12,33 @@ A concrete operator is a column rule (basis label to a short list of
 (row, value) pairs) applied by `on_columns`, or, for `jv.op_b`, its
 entries handed to `TruncatedOperator` directly; the only other way to
 make an operator is arithmetic on operators (`+`, `scale`, `@`, `adjoint`).
+`on_columns`, `jv.op_b`, `scale` and `adjoint` hand their entries over as
+a stream of ((row, col), value) pairs, which `TruncatedOperator` stores
+as it reads them, so no entry is held twice.
 
 A declared basis is a `Basis`: the ordered labels and their label set,
 built once.  Operators share their declared bases: one made by
 arithmetic takes the bases of its operands, and a column rule whose rows
 are declared on its own columns uses one basis for both.  Every
 operator still checks each entry against its declared bases.
+
+Ranks are exact Gaussian elimination over Q(i), reading one sparse row
+at a time.  Most rows of the tree operators have one entry, and a pivot
+row with one entry is kept as its lead column alone, so the rank holds
+no input row; a row is grouped from the entries only when it has
+several.  The index reads the interior rows of T, not the rows of its
+adjoint: those are the conjugated interior rows of T, and conjugation is
+a field automorphism of Q(i), so it leaves every rank unchanged.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from functools import lru_cache
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DomainError, ResourceLimitError
 from .cylinders import CylinderFunction
@@ -33,6 +47,7 @@ from .words import ReducedWord, ball, multiply
 
 Label = ReducedWord
 Column = Callable[[Label], Iterable[tuple[Label, Scalar]]]
+Entry = tuple[tuple[Label, Label], Scalar]
 
 # Distance of a basis label from the basepoint: a vertex's word length,
 # or an edge's, which is the length of its far endpoint.
@@ -52,7 +67,13 @@ class Basis(tuple):
 
 
 class TruncatedOperator:
-    """A sparse exact matrix between spans of declared basis labels."""
+    """A sparse exact matrix between spans of declared basis labels.
+
+    The entries are a mapping or a stream of ((row, col), value) pairs,
+    as `dict()` takes them, and each is checked against the declared
+    bases as it is read.  A key named twice ends with its last value, and
+    a last value of zero means no entry.
+    """
 
     __slots__ = ("domain", "codomain", "entries", "radius", "propagation")
 
@@ -60,20 +81,22 @@ class TruncatedOperator:
         self,
         domain: Iterable[Label],
         codomain: Iterable[Label],
-        entries: Mapping[tuple[Label, Label], Scalar],
+        entries: Mapping[tuple[Label, Label], Scalar] | Iterable[Entry],
         radius: int,
         propagation: int | None = None,
     ):
         self.domain = Basis(domain)
         self.codomain = Basis(codomain)
         dom, cod = self.domain.labels, self.codomain.labels
-        self.entries = {}
-        for (row, col), v in entries.items():
+        self.entries = stored = {}
+        for key, v in entries.items() if isinstance(entries, Mapping) else entries:
             if not v:
+                stored.pop(key, None)
                 continue
+            row, col = key
             if row not in cod or col not in dom:
                 raise DomainError(f"entry at ({row}, {col}) outside declared bases")
-            self.entries[(row, col)] = v
+            stored[key] = v
         self.radius = radius
         self.propagation = propagation
 
@@ -109,7 +132,7 @@ class TruncatedOperator:
     def scale(self, c: Scalar) -> "TruncatedOperator":
         return TruncatedOperator(
             self.domain, self.codomain,
-            {k: c * v for k, v in self.entries.items()},
+            ((k, c * v) for k, v in self.entries.items()),
             self.radius, self.propagation,
         )
 
@@ -140,7 +163,7 @@ class TruncatedOperator:
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(
             self.codomain, self.domain,
-            {(col, row): v.conj() for (row, col), v in self.entries.items()},
+            (((col, row), v.conj()) for (row, col), v in self.entries.items()),
             self.radius, self.propagation,
         )
 
@@ -174,16 +197,17 @@ def on_columns(
     codomain: Iterable[Label] | None = None,
 ) -> TruncatedOperator:
     """The operator whose column at each label is given by the rule,
-    truncated to rows of norm at most R.  Without a codomain it is
-    declared on exactly the rows its columns reach, in first-reached order.
+    truncated to rows of norm at most R.  With a codomain the entries
+    stream into the operator as the rule yields them.  Without one it is
+    declared on exactly the rows its columns reach, in first-reached
+    order, so the entries are collected first to find those rows.
     """
     columns = Basis(columns)
-    entries = {}
-    for c in columns:
-        for row, v in column(c):
-            if label_norm(row) <= R:
-                entries[(row, c)] = v
+    entries = (
+        ((row, c), v) for c in columns for row, v in column(c) if label_norm(row) <= R
+    )
     if codomain is None:
+        entries = dict(entries)
         codomain = dict.fromkeys(row for row, _ in entries)
     return TruncatedOperator(columns, codomain, entries, R, propagation)
 
@@ -240,7 +264,16 @@ def commutator(T: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
 # -- exact rank / kernel machinery -----------------------------------
 
 def exact_rank(rows: Iterable[Mapping[Label, Scalar]]) -> int:
-    """Rank of a sparse exact matrix given as an iterable of sparse rows."""
+    """Rank of a sparse exact matrix given as an iterable of sparse rows.
+
+    Each row is read once and reduced against the pivots found so far.
+    A pivot row with one entry is kept as its lead column alone, in a set
+    of unit leads: eliminating a later row against it deletes that row's
+    entry in the column, which is what subtracting the pivot does.  A
+    wider pivot is a reduced copy led by its earliest column in
+    first-seen order.  So no input row is held after it is read.
+    """
+    units: set[Label] = set()
     pivots: dict[Label, dict[Label, Scalar]] = {}
     order: dict[Label, int] = {}
 
@@ -249,14 +282,19 @@ def exact_rank(rows: Iterable[Mapping[Label, Scalar]]) -> int:
 
     rank = 0
     for raw in rows:
-        if len(raw) == 1 and next(iter(raw)) not in pivots and all(raw.values()):
-            pivots[next(iter(raw))] = raw  # its own pivot, uncopied: pivots are only read
-            rank += 1
-            continue
-        row = {c: v for c, v in raw.items() if v}
+        if len(raw) == 1:
+            (lead, v), = raw.items()
+            if lead not in pivots:
+                if v and lead not in units:
+                    units.add(lead)
+                    rank += 1
+                continue
+        row = {c: v for c, v in raw.items() if v and c not in units}
         while row:
             lead = next(iter(row)) if len(row) == 1 else min(row, key=colkey)
-            if lead in pivots:
+            if lead in units:
+                del row[lead]
+            elif lead in pivots:
                 piv = pivots[lead]
                 factor = row[lead] / piv[lead]
                 for c, v in piv.items():
@@ -266,39 +304,55 @@ def exact_rank(rows: Iterable[Mapping[Label, Scalar]]) -> int:
                     elif c in row:
                         del row[c]
             else:
-                pivots[lead] = row
+                if len(row) == 1:
+                    units.add(lead)
+                else:
+                    pivots[lead] = row
                 rank += 1
                 break
     return rank
 
 
-def _rows(triples: Iterable[tuple[Label, Label, Scalar]]) -> list[dict[Label, Scalar]]:
-    """Sparse rows from (row, column, value) triples, in first-seen row order."""
-    rows: dict[Label, dict[Label, Scalar]] = {}
-    for row, col, v in triples:
-        rows.setdefault(row, {})[col] = v
-    return list(rows.values())
+def _rows(
+    T: TruncatedOperator, keys: Iterable[tuple[Label, Label]]
+) -> Iterator[dict[Label, Scalar]]:
+    """The sparse rows of T over the given entry keys, which it reads twice.
+
+    It counts each row's entries first, then yields a one-entry row as
+    it reaches it and a wider row once its last entry is read; only the
+    wider rows are ever grouped.
+    """
+    size = Counter(map(itemgetter(0), keys))
+    wide: dict[Label, dict[Label, Scalar]] = {}
+    for key in keys:
+        row, col = key
+        if size[row] == 1:
+            yield {col: T.entries[key]}
+        else:
+            group = wide.setdefault(row, {})
+            group[col] = T.entries[key]
+            if len(group) == size[row]:
+                yield wide.pop(row)
 
 
 def operator_rank(T: TruncatedOperator) -> int:
-    return exact_rank(_rows((row, col, v) for (row, col), v in T.entries.items()))
+    return exact_rank(_rows(T, T.entries))
 
 
 def kernel_dimension(T: TruncatedOperator, cols: set[Label]) -> int:
     """Dimension of the null space of T restricted to the given columns."""
-    return len(cols) - exact_rank(
-        _rows((row, col, v) for (row, col), v in T.entries.items() if col in cols)
-    )
+    return len(cols) - exact_rank(_rows(T, [k for k in T.entries if k[1] in cols]))
 
 
 def exact_index(T: TruncatedOperator, interior_radius: int) -> int:
     """dim ker T - dim ker T* over vectors supported in the interior ball.
 
     Needs a declared propagation bound so that interior columns of the
-    truncation agree with columns of the untruncated operator.  It reads
-    the interior columns of T and of T*; a row of T* is a column of T, so
-    the interior rows of T* are read straight from T's entries and T* is
-    never built.
+    truncation agree with columns of the untruncated operator.  The
+    interior columns of T* are the conjugated interior rows of T, and
+    conjugation is a field automorphism of Q(i), so their rank is the
+    rank of T's interior rows: T* is never built and nothing conjugated.
+    The two sides are ranked one at a time, the interior labels counted.
     """
     if T.propagation is None:
         raise DomainError("operator has no declared propagation bound")
@@ -307,13 +361,12 @@ def exact_index(T: TruncatedOperator, interior_radius: int) -> int:
             f"interior radius {interior_radius} + propagation {T.propagation} "
             f"exceeds truncation radius {T.radius}; a basis vector may escape"
         )
-    dom_interior = {x for x in T.domain if label_norm(x) <= interior_radius}
-    cod_interior = {x for x in T.codomain if label_norm(x) <= interior_radius}
-    adjoint_rows = _rows(
-        (col, row, v.conj()) for (row, col), v in T.entries.items() if row in cod_interior
-    )
-    adjoint_kernel = len(cod_interior) - exact_rank(adjoint_rows)
-    return kernel_dimension(T, dom_interior) - adjoint_kernel
+    r = interior_radius
+    row_rank = exact_rank(_rows(T, [k for k in T.entries if label_norm(k[0]) <= r]))
+    col_rank = exact_rank(_rows(T, [k for k in T.entries if label_norm(k[1]) <= r]))
+    kernel = sum(1 for x in T.domain if label_norm(x) <= r) - col_rank
+    adjoint_kernel = sum(1 for x in T.codomain if label_norm(x) <= r) - row_rank
+    return kernel - adjoint_kernel
 
 
 # -- certificates ----------------------------------------------------
@@ -348,17 +401,11 @@ def support_certificate(
     bound: int | None = None,
 ) -> SupportCertificate:
     """Exact support radius and rank of T over the certified interior."""
-    certified = {
-        (row, col): v
-        for (row, col), v in T.entries.items()
-        if label_norm(row) <= interior_radius and label_norm(col) <= interior_radius
-    }
-    radius = max(
-        (max(label_norm(r), label_norm(c)) for (r, c) in certified), default=0
-    )
-    rows = _rows((row, col, v) for (row, col), v in certified.items())
+    r = interior_radius
+    certified = [k for k in T.entries if label_norm(k[0]) <= r and label_norm(k[1]) <= r]
+    radius = max((max(label_norm(row), label_norm(col)) for row, col in certified), default=0)
     return SupportCertificate(
-        description or repr(T), radius, exact_rank(rows), interior_radius,
+        description or repr(T), radius, exact_rank(_rows(T, certified)), interior_radius,
         bound=bound,
     )
 

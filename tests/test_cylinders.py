@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boundarylab import cylinders
 from boundarylab.config import DomainError, ResourceLimitError
 from boundarylab.crossed import PairElement, _first_discrepancy_pair
 from boundarylab.cylinders import (
@@ -487,6 +488,26 @@ def test_cells_match_uniform_reference(n, d1, d2, seed, gamma):
     assert agrees_with_reference(n, translate(gamma, f), ref_translate(n, gamma, rf))
     for x in ball(n, 5):
         assert f.extend(x) == ref_extend(rf, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2**32))
+def test_product_by_one_is_the_other_operand(n, d1, d2, seed):
+    # a 1 merged from its children is a fresh value, not the ONE object
+    one = CylinderFunction(n, {w: Scalar.of(1) for w in sphere(n, 1)})
+    rng = random.Random(seed)
+    cells_f, cells_g = random_cells(rng, n, d1), random_cells(rng, n, d2)
+    f, g = CylinderFunction(n, cells_f), CylinderFunction(n, cells_g)
+    stored = cylinders._cached_product.cache_info().currsize
+    assert f * one is f
+    assert one * f is (one if f == one else f)
+    assert cylinders._cached_product.cache_info().currsize == stored
+    if one not in (f, g):
+        rf = ref_canonical(n, d1, tabulate(n, cells_f, d1))
+        rg = ref_canonical(n, d2, tabulate(n, cells_g, d2))
+        assert agrees_with_reference(n, f * g, ref_mul(n, rf, rg))
+    with pytest.raises(DomainError):
+        CylinderFunction.constant(n + 1, ONE) * f
 
 
 # -- cross-check of two-variable functions against uniform block tables --

@@ -1,5 +1,6 @@
 import cProfile
 import pstats
+import tracemalloc
 
 import pytest
 
@@ -107,6 +108,21 @@ class TestOpB:
 
     def test_index_one_rank3(self):
         assert index_b(3, 3) == 1
+
+    def test_index_allocates_less_than_its_operator_holds(self):
+        # b has one entry per row, so ranking either side holds no row of
+        # it; the ball's words are built first, as they are not b's own
+        ball(2, 8)
+        tracemalloc.start()
+        try:
+            b = op_b(2, 8)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert exact_index(b, 8) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < held
 
 
 class TestEquivarianceDefect:

@@ -14,8 +14,10 @@ from boundarylab.operators import (
     conjugation_symmetry_check,
     exact_index,
     exact_rank,
+    kernel_dimension,
     lambda_monomial,
     lambda_rho_commute_check,
+    on_columns,
     op_inversion,
     op_left,
     op_mult,
@@ -184,11 +186,29 @@ class TestExactRank:
         st.dictionaries(st.sampled_from("wxyz"), st.sampled_from(SMALL), max_size=3), max_size=7
     ))
     def test_rows_stay_unchanged_and_rank_matches_dense_reference(self, rows):
-        # one-entry rows become pivots as given, so a later row that
-        # reduces against one must leave it as it was
+        # elimination works on copies, so the rows it read stay as given
         snapshot = [dict(r) for r in rows]
         assert exact_rank(rows) == dense_rank(rows, "wxyz")
         assert rows == snapshot
+
+    def test_one_entry_rows_are_not_held(self):
+        # a one-entry pivot is kept as its lead column alone, so a row is
+        # let go once the next one is read
+        live = most = 0
+
+        class Row(dict):
+            def __init__(self, *args):
+                nonlocal live, most
+                super().__init__(*args)
+                live += 1
+                most = max(most, live)
+
+            def __del__(self):
+                nonlocal live
+                live -= 1
+
+        assert exact_rank(Row({i: ONE}) for i in range(1000)) == 1000
+        assert most <= 2
 
 
 class TestCommutators:
@@ -355,3 +375,74 @@ def test_column_rules_match_entry_loops(n, R):
         }
         for name, ref in ref_operators(n, R, f, gamma).items():
             assert same_operator(built[name], ref), (name, f, gamma)
+
+
+# -- cross-check against rows grouped up front ----------------------------
+#
+# Before ranks read one-entry rows as they came, every row was grouped
+# into a dict first, and the index ranked the conjugated rows of T* over
+# sets of interior labels.  That code lives on here as the reference.
+
+
+def ref_rows(triples):
+    """Sparse rows from (row, column, value) triples, in first-seen row order."""
+    rows = {}
+    for row, col, v in triples:
+        rows.setdefault(row, {})[col] = v
+    return list(rows.values())
+
+
+def ref_exact_index(T, interior_radius, rank):
+    dom_interior = {x for x in T.domain if len(x) <= interior_radius}
+    cod_interior = {x for x in T.codomain if len(x) <= interior_radius}
+    adjoint_rows = ref_rows(
+        (col, row, v.conj()) for (row, col), v in T.entries.items() if row in cod_interior
+    )
+    adjoint_kernel = len(cod_interior) - rank(adjoint_rows, T.codomain)
+    kernel_rows = ref_rows(
+        (row, col, v) for (row, col), v in T.entries.items() if col in dom_interior
+    )
+    return len(dom_interior) - rank(kernel_rows, T.domain) - adjoint_kernel
+
+
+BALL = ball(2, 2)
+GAUSSIAN = st.sampled_from(SMALL + [Scalar.of(Fraction(1, 2), Fraction(-2, 3))])
+ROW = st.one_of(
+    st.tuples(st.sampled_from(BALL), GAUSSIAN).map(lambda e: [e]),
+    st.lists(st.tuples(st.sampled_from(BALL), GAUSSIAN), min_size=2, max_size=6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.sampled_from(BALL), ROW, max_size=len(BALL)), st.integers(0, 2))
+def test_ranks_match_rows_grouped_up_front(rows, r):
+    T = TruncatedOperator(
+        BALL, BALL, {(row, col): v for row, cols in rows.items() for col, v in cols}, 2, 0
+    )
+    triples = [(row, col, v) for (row, col), v in T.entries.items()]
+    interior = {x for x in BALL if len(x) <= r}
+    ranks = (lambda rows, columns: exact_rank(rows), dense_rank)
+
+    def both(rows):
+        return {rank(rows, BALL) for rank in ranks}
+
+    assert {exact_index(T, r)} == {ref_exact_index(T, r, rank) for rank in ranks}
+    assert {operator_rank(T)} == both(ref_rows(triples))
+    kernel_rows = ref_rows(t for t in triples if t[1] in interior)
+    assert {kernel_dimension(T, interior)} == {len(interior) - k for k in both(kernel_rows)}
+    certified = ref_rows(t for t in triples if len(t[0]) <= r and len(t[1]) <= r)
+    assert {support_certificate(T, r).rank} == both(certified)
+
+
+def test_entry_stream_ends_with_each_last_value():
+    # a column rule naming a row twice keeps the last value; zero is no entry
+    x, y, z = ball(2, 1)[:3]
+    rules = {x: [(y, ONE), (y, Scalar.of(2))], y: [(z, ONE), (z, ZERO)], z: [(x, ZERO), (x, ONE)]}
+    T = on_columns(ball(2, 1), lambda c: rules.get(c, ()), 1, 0, ball(2, 1))
+    assert T.entries == {(y, x): Scalar.of(2), (x, z): ONE}
+    stream = [((y, x), ONE), ((y, x), ZERO), ((z, y), MINUS_ONE)]
+    assert TruncatedOperator(ball(2, 1), ball(2, 1), iter(stream), 1, 0).entries == {
+        (z, y): MINUS_ONE
+    }
+    with pytest.raises(DomainError):
+        TruncatedOperator(ball(2, 1), ball(2, 1), iter([((W("ab"), x), ONE)]), 1, 0)
